@@ -12,11 +12,11 @@
 // max_batch without ever reaching wait_until, so heavy load pays zero
 // added latency and light load pays at most max_linger.
 //
-// Works over any queue with the RequestQueue consumer contract (pop /
-// pop_until / close / closed / size) — the QoS multi-queue included. An
-// optional idle-work hook turns the wait for a first item into a
-// work-stealing loop: an idle lane thread lends itself to another lane's
-// crew (checkqueue-style) instead of parking on the condition variable.
+// It drains a lane's QosQueue, so a batch is popped in the queue's
+// priority and fair-share order. An optional idle-work hook turns the wait
+// for a first item into a work-stealing loop: an idle lane thread lends
+// itself to another lane's crew (checkqueue-style) instead of parking on
+// the condition variable.
 
 #include <chrono>
 #include <cstddef>
@@ -29,11 +29,11 @@
 
 namespace cgs::serve {
 
-template <typename T, typename Queue = RequestQueue<T>>
+template <typename T>
 class MicroBatcher {
  public:
   /// `queue` (not owned) must outlive the batcher.
-  MicroBatcher(Queue& queue, std::size_t max_batch,
+  MicroBatcher(QosQueue<T>& queue, std::size_t max_batch,
                std::chrono::microseconds max_linger)
       : queue_(&queue), max_batch_(max_batch), max_linger_(max_linger) {
     CGS_CHECK_MSG(max_batch_ >= 1, "micro-batcher needs max_batch >= 1");
@@ -83,7 +83,7 @@ class MicroBatcher {
     }
   }
 
-  Queue* queue_;
+  QosQueue<T>* queue_;
   std::size_t max_batch_;
   std::chrono::microseconds max_linger_;
   std::function<bool()> idle_work_;

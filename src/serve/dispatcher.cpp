@@ -7,10 +7,12 @@
 #endif
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <functional>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -42,34 +44,93 @@ std::uint64_t gauss_shard_key(double sigma, double center) {
          mix64(~std::bit_cast<std::uint64_t>(center));
 }
 
-}  // namespace
-
-// Absolute expiry for a job: submitted + the request's relative budget,
-// or "never" when the request carries none.
+// The class properties the shared lane code reads: trace class (whose
+// name prefixes every series), lane count, and where the class's lanes
+// and latency quantiles land in a MetricsSnapshot.
 template <typename Req>
-static std::chrono::steady_clock::time_point job_deadline(
-    const Req& req, std::chrono::steady_clock::time_point submitted) {
-  if (req.deadline_us == 0)
-    return std::chrono::steady_clock::time_point::max();
-  return submitted + std::chrono::microseconds(req.deadline_us);
+struct ClassTraits;
+template <>
+struct ClassTraits<SignRequest> {
+  static constexpr auto kClass = obs::RequestClass::kSign;
+  static int lane_count(const DispatcherOptions& o) { return o.sign_lanes; }
+  static constexpr auto kSnapshot = &MetricsSnapshot::sign_lanes;
+  static constexpr std::array kQuantiles = {
+      &MetricsSnapshot::p50_us, &MetricsSnapshot::p95_us,
+      &MetricsSnapshot::p99_us};
+};
+template <>
+struct ClassTraits<VerifyRequest> {
+  static constexpr auto kClass = obs::RequestClass::kVerify;
+  static int lane_count(const DispatcherOptions& o) { return o.verify_lanes; }
+  static constexpr auto kSnapshot = &MetricsSnapshot::verify_lanes;
+  static constexpr std::array kQuantiles = {
+      &MetricsSnapshot::verify_p50_us, &MetricsSnapshot::verify_p95_us,
+      &MetricsSnapshot::verify_p99_us};
+};
+template <>
+struct ClassTraits<KeygenRequest> {
+  static constexpr auto kClass = obs::RequestClass::kKeygen;
+  // Exactly one keygen lane, always (see DispatcherOptions).
+  static int lane_count(const DispatcherOptions&) { return 1; }
+  static constexpr auto kSnapshot = &MetricsSnapshot::keygen_lanes;
+  static constexpr std::array kQuantiles = {
+      &MetricsSnapshot::keygen_p50_us, &MetricsSnapshot::keygen_p95_us,
+      &MetricsSnapshot::keygen_p99_us};
+};
+template <>
+struct ClassTraits<GaussRequest> {
+  static constexpr auto kClass = obs::RequestClass::kGauss;
+  static int lane_count(const DispatcherOptions& o) { return o.gauss_lanes; }
+  static constexpr auto kSnapshot = &MetricsSnapshot::gauss_lanes;
+  static constexpr std::array kQuantiles = {
+      &MetricsSnapshot::gauss_p50_us, &MetricsSnapshot::gauss_p95_us,
+      &MetricsSnapshot::gauss_p99_us};
+};
+constexpr std::array kQuantileLevels = {0.50, 0.95, 0.99};
+
+// The traits of a class-table entry (Dispatcher::RequestLanes<Req>).
+template <typename Entry>
+using TraitsOf = ClassTraits<typename std::decay_t<Entry>::Request>;
+
+template <typename Entry>
+std::string class_name() {
+  return obs::request_class_name(TraitsOf<Entry>::kClass);
 }
 
-template <typename JobT>
-void Dispatcher::drop_expired(std::vector<JobT>& batch,
-                              LaneCounters& counters) {
-  const auto now = std::chrono::steady_clock::now();
-  auto keep = batch.begin();
-  for (auto it = batch.begin(); it != batch.end(); ++it) {
-    if (it->deadline <= now) {
-      counters.expired.add(1);
-      it->promise.set_exception(std::make_exception_ptr(DeadlineExpired()));
-      continue;
-    }
-    if (keep != it) *keep = std::move(*it);
-    ++keep;
-  }
-  batch.erase(keep, batch.end());
+// Group keys: the jobs of one lane batch that share a key run as one
+// execute() call, groups in key order. Sign and verify group by tenant key
+// (one sign_many / verify_many per key is what fills the engine's
+// bit-sliced lanes), gauss by exact target bits (one bulk sample() per
+// distinct (sigma, center)), and keygens — independent multi-hundred-
+// millisecond solves, nothing to batch — one job per group in arrival
+// order.
+std::uint64_t group_key(const SignRequest& req, std::size_t) {
+  return req.key_id;
 }
+std::uint64_t group_key(const VerifyRequest& req, std::size_t) {
+  return req.key_id;
+}
+std::size_t group_key(const KeygenRequest&, std::size_t index) {
+  return index;
+}
+std::pair<std::uint64_t, std::uint64_t> group_key(const GaussRequest& req,
+                                                  std::size_t) {
+  return {std::bit_cast<std::uint64_t>(req.sigma),
+          std::bit_cast<std::uint64_t>(req.center)};
+}
+
+// Lowest scheduling priority for the keygen lane: when keygen and a
+// sign/verify lane compete for a core, the solver always loses — the
+// lane's isolation guarantee is its own queue + thread, this makes it hold
+// under CPU contention too. (Best-effort: EPERM etc. just leaves the
+// default priority.)
+void lower_thread_priority() {
+#ifdef __linux__
+  ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), 19);
+#endif
+}
+
+}  // namespace
 
 // The one push-or-reject admission sequence every submit() overload
 // shares: wrap the envelope, attach the future, try the queue, account
@@ -78,16 +139,20 @@ void Dispatcher::drop_expired(std::vector<JobT>& batch,
 // simply dies with the job.)
 template <typename Req>
 Submission<typename Req::Result> Dispatcher::submit_impl(
-    Lane<Job<Req>>& lane, Req req, obs::RequestClass cls,
-    std::uint64_t tenant) {
+    Req req, std::uint64_t tenant, std::uint64_t shard) {
+  auto& lanes = lanes_of<Req>().lanes;
+  Lane<Job<Req>>& lane = *lanes[shard % lanes.size()];
   Job<Req> job;
   job.req = std::move(req);
   job.submitted = std::chrono::steady_clock::now();
-  job.deadline = job_deadline(job.req, job.submitted);
+  job.deadline = job.req.deadline_us == 0
+                     ? std::chrono::steady_clock::time_point::max()
+                     : job.submitted +
+                           std::chrono::microseconds(job.req.deadline_us);
   job.trace = tracer_->begin(job.req.trace_id);
   job.trace.request_id = job.req.request_id;
   job.trace.tenant = tenant;
-  job.trace.req_class = cls;
+  job.trace.req_class = ClassTraits<Req>::kClass;
   const Priority priority = job.req.priority;
   Submission<typename Req::Result> result;
   result.future = job.promise.get_future();
@@ -125,24 +190,6 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
   }
   tracer_ = std::make_unique<obs::Tracer>(*obs_, options_.trace);
   events_ = &obs_->events();
-  if (options_.tenant_metrics) {
-    const auto klass = [this](const char* c) {
-      ClassTelemetry t;
-      obs::FamilyOptions fam;
-      fam.max_series = options_.tenant_series;
-      t.requests = &obs_->counter_family(
-          "cgs_tenant_" + std::string(c) + "_requests_total", fam);
-      t.latency = &obs_->windowed_histogram("cgs_serve_" + std::string(c) +
-                                            "_latency_us");
-      t.slo_good = &obs_->counter("cgs_slo_" + std::string(c) + "_good_total");
-      t.slo_bad = &obs_->counter("cgs_slo_" + std::string(c) + "_bad_total");
-      return t;
-    };
-    sign_telemetry_ = klass("sign");
-    verify_telemetry_ = klass("verify");
-    keygen_telemetry_ = klass("keygen");
-    gauss_telemetry_ = klass("gauss");
-  }
   // Key-state plumbing: one shared persistent store behind both per-tenant
   // caches, and a 60/40 byte-budget split (trees are the heavier artifact)
   // unless the caller budgeted a cache directly. When BOTH services already
@@ -186,39 +233,31 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
   qos.max_tenants = options_.max_tenant_slots;
   qos.age_promote_us = options_.age_promote_us;
   qos.drr_quantum = options_.drr_quantum;
-  const auto lane_prefix = [](const char* kind, int i) {
-    return "cgs_serve_" + std::string(kind) + "_lane" + std::to_string(i);
-  };
-  for (int i = 0; i < options_.sign_lanes; ++i)
-    sign_lanes_.push_back(std::make_unique<Lane<SignJob>>(
-        qos, *obs_, lane_prefix("sign", i)));
-  for (int i = 0; i < options_.verify_lanes; ++i)
-    verify_lanes_.push_back(std::make_unique<Lane<VerifyJob>>(
-        qos, *obs_, lane_prefix("verify", i)));
-  keygen_lanes_.push_back(std::make_unique<Lane<KeygenJob>>(
-      qos, *obs_, lane_prefix("keygen", 0)));
-  for (int i = 0; i < options_.gauss_lanes; ++i)
-    gauss_lanes_.push_back(std::make_unique<Lane<GaussJob>>(
-        qos, *obs_, lane_prefix("gauss", i)));
+  for_each_class([&](auto& c) {
+    using Req = typename std::decay_t<decltype(c)>::Request;
+    using Traits = ClassTraits<Req>;
+    const std::string name = obs::request_class_name(Traits::kClass);
+    if (options_.tenant_metrics) {
+      obs::FamilyOptions fam;
+      fam.max_series = options_.tenant_series;
+      c.telemetry.requests = &obs_->counter_family(
+          "cgs_tenant_" + name + "_requests_total", fam);
+      c.telemetry.latency =
+          &obs_->windowed_histogram("cgs_serve_" + name + "_latency_us");
+      c.telemetry.slo_good = &obs_->counter("cgs_slo_" + name + "_good_total");
+      c.telemetry.slo_bad = &obs_->counter("cgs_slo_" + name + "_bad_total");
+    }
+    for (int i = 0; i < Traits::lane_count(options_); ++i)
+      c.lanes.push_back(std::make_unique<Lane<Job<Req>>>(
+          qos, *obs_, "cgs_serve_" + name + "_lane" + std::to_string(i)));
+  });
   register_bridges();
   // Lanes start only after every queue exists — a lane thread never sees a
   // half-constructed dispatcher.
-  for (auto& lane : sign_lanes_) {
-    Lane<SignJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_sign_lane(*l); });
-  }
-  for (auto& lane : verify_lanes_) {
-    Lane<VerifyJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_verify_lane(*l); });
-  }
-  for (auto& lane : keygen_lanes_) {
-    Lane<KeygenJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_keygen_lane(*l); });
-  }
-  for (auto& lane : gauss_lanes_) {
-    Lane<GaussJob>* l = lane.get();
-    lane->thread = std::thread([this, l] { run_gauss_lane(*l); });
-  }
+  for_each_class([this](auto& c) {
+    for (auto& lane : c.lanes)
+      lane->thread = std::thread([this, l = lane.get()] { run_lane(*l); });
+  });
 }
 
 Dispatcher::~Dispatcher() { shutdown(); }
@@ -237,12 +276,12 @@ void Dispatcher::register_bridges() {
     obs_->counter_fn(name, std::move(fn));
     callback_metrics_.push_back(std::move(name));
   };
-  const auto lane_depths = [&gauge, &counter](const auto& lanes,
-                                              const char* kind) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      auto* lane = lanes[i].get();
+  for_each_class([&](const auto& c) {
+    const std::string name = class_name<decltype(c)>();
+    for (std::size_t i = 0; i < c.lanes.size(); ++i) {
+      auto* lane = c.lanes[i].get();
       const std::string prefix =
-          "cgs_serve_" + std::string(kind) + "_lane" + std::to_string(i);
+          "cgs_serve_" + name + "_lane" + std::to_string(i);
       gauge(prefix + "_queue_depth",
             [lane] { return static_cast<double>(lane->queue.size()); });
       // The QosQueue policy counters, scraped alongside the depth so an
@@ -260,11 +299,7 @@ void Dispatcher::register_bridges() {
         return static_cast<double>(lane->queue.stats().tenant_slots);
       });
     }
-  };
-  lane_depths(sign_lanes_, "sign");
-  lane_depths(verify_lanes_, "verify");
-  lane_depths(keygen_lanes_, "keygen");
-  lane_depths(gauss_lanes_, "gauss");
+  });
 
   counter("cgs_serve_verify_slices_stolen_total", [crew = verify_crew_.get()] {
     return static_cast<double>(crew->stolen());
@@ -339,18 +374,13 @@ void Dispatcher::shutdown() {
   }
   for (const std::string& name : callback_metrics_) obs_->unregister(name);
   callback_metrics_.clear();
-  for (auto& lane : sign_lanes_) lane->queue.close();
-  for (auto& lane : verify_lanes_) lane->queue.close();
-  for (auto& lane : keygen_lanes_) lane->queue.close();
-  for (auto& lane : gauss_lanes_) lane->queue.close();
-  for (auto& lane : sign_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : verify_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : keygen_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
-  for (auto& lane : gauss_lanes_)
-    if (lane->thread.joinable()) lane->thread.join();
+  for_each_class([](auto& c) {
+    for (auto& lane : c.lanes) lane->queue.close();
+  });
+  for_each_class([](auto& c) {
+    for (auto& lane : c.lanes)
+      if (lane->thread.joinable()) lane->thread.join();
+  });
 }
 
 std::uint64_t Dispatcher::add_key(falcon::KeyPair kp) {
@@ -374,375 +404,250 @@ const falcon::KeyPair* Dispatcher::key(std::uint64_t key_id) const {
   return it == keys_.end() ? nullptr : &it->second;
 }
 
-// One completed request's class telemetry. The trace id rides along as
+// One answered request's class telemetry. The trace id rides along as
 // the latency exemplar, so a scraped tail bucket can name a trace that
 // actually landed in it.
-void Dispatcher::record_class(const ClassTelemetry& t, std::uint64_t tenant,
-                              std::uint64_t latency_us,
-                              std::uint64_t trace_id) {
+void Dispatcher::record_class(const ClassTelemetry& t, const obs::Trace& trace,
+                              std::optional<std::uint64_t> latency_us) {
   if (t.requests == nullptr) return;
-  t.requests->add(obs::LabelSet{{"tenant", obs::tenant_label(tenant)}});
-  t.latency->record(latency_us, trace_id);
-  (latency_us <= options_.slo_latency_us ? *t.slo_good : *t.slo_bad).add(1);
+  t.requests->add(obs::LabelSet{{"tenant", obs::tenant_label(trace.tenant)}});
+  if (!latency_us) {
+    t.slo_bad->add(1);
+    return;
+  }
+  t.latency->record(*latency_us, trace.trace_id);
+  (*latency_us <= options_.slo_latency_us ? *t.slo_good : *t.slo_bad).add(1);
 }
 
 Submission<falcon::Signature> Dispatcher::submit(SignRequest req) {
   CGS_CHECK_MSG(key(req.key_id) != nullptr,
                 "submit(SignRequest): key_id not registered (add_key first)");
-  Lane<SignJob>& lane = *sign_lanes_[mix64(req.key_id) % sign_lanes_.size()];
   const std::uint64_t tenant = req.key_id;
-  return submit_impl(lane, std::move(req), obs::RequestClass::kSign, tenant);
+  return submit_impl(std::move(req), tenant, mix64(tenant));
 }
 
 Submission<bool> Dispatcher::submit(VerifyRequest req) {
   CGS_CHECK_MSG(
       key(req.key_id) != nullptr,
       "submit(VerifyRequest): key_id not registered (add_key first)");
-  Lane<VerifyJob>& lane =
-      *verify_lanes_[mix64(req.key_id) % verify_lanes_.size()];
   const std::uint64_t tenant = req.key_id;
-  return submit_impl(lane, std::move(req), obs::RequestClass::kVerify, tenant);
+  return submit_impl(std::move(req), tenant, mix64(tenant));
 }
 
 Submission<KeygenResult> Dispatcher::submit(KeygenRequest req) {
-  // Tenant unknown until the solve finishes — the keygen lane fills it in
-  // once the fingerprint exists.
-  return submit_impl(*keygen_lanes_.front(), std::move(req),
-                     obs::RequestClass::kKeygen, 0);
+  // Tenant unknown until the solve finishes — execute() fills it in once
+  // the fingerprint exists.
+  return submit_impl(std::move(req), 0, 0);
 }
 
 Submission<std::vector<std::int32_t>> Dispatcher::submit(GaussRequest req) {
   CGS_CHECK_MSG(req.n >= 1, "submit(GaussRequest): empty request");
   const std::uint64_t tenant = gauss_shard_key(req.sigma, req.center);
-  Lane<GaussJob>& lane = *gauss_lanes_[tenant % gauss_lanes_.size()];
-  return submit_impl(lane, std::move(req), obs::RequestClass::kGauss, tenant);
+  return submit_impl(std::move(req), tenant, tenant);
 }
 
-void Dispatcher::run_sign_lane(Lane<SignJob>& lane) {
-  MicroBatcher<SignJob, QosQueue<SignJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  // While this lane's queue is empty, lend the thread to the verify crew:
-  // a lingering verify batch's slices finish on otherwise-idle cores.
-  batcher.set_idle_work(
-      [crew = verify_crew_.get()] { return crew->try_help_one(); });
-  std::vector<SignJob> batch;
+template <typename Req>
+void Dispatcher::run_lane(Lane<Job<Req>>& lane) {
+  using JobT = Job<Req>;
+  const ClassTelemetry& telemetry = lanes_of<Req>().telemetry;
+  if constexpr (std::is_same_v<Req, KeygenRequest>) lower_thread_priority();
+  MicroBatcher<JobT> batcher(lane.queue, options_.max_batch,
+                             std::chrono::microseconds(options_.max_linger_us));
+  // While a sign lane's queue is empty, lend the thread to the verify
+  // crew: a lingering verify batch's slices finish on otherwise-idle cores.
+  if constexpr (std::is_same_v<Req, SignRequest>)
+    batcher.set_idle_work(
+        [crew = verify_crew_.get()] { return crew->try_help_one(); });
+  // The one fail path: failed and expired requests count against the SLO
+  // too (never the latency histogram, which records completions only).
+  const auto fail = [&](JobT& job, obs::Counter& counter,
+                        std::exception_ptr error) {
+    counter.add(1);
+    record_class(telemetry, job.trace, std::nullopt);
+    job.promise.set_exception(std::move(error));
+  };
+  std::vector<JobT> batch;
   while (batcher.next_batch(batch)) {
     const std::uint64_t closed_us = obs::Trace::now_us();
-    for (SignJob& job : batch)
+    for (JobT& job : batch)
       job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by tenant key, preserving arrival order within each group —
-    // one sign_many per key is what fills the engine's bit-sliced lanes.
-    std::map<std::uint64_t, std::vector<std::size_t>> by_key;
+    // Batch close is the one moment a lane inspects jobs anyway: fail
+    // every job whose deadline already passed instead of running it late.
+    const auto now = std::chrono::steady_clock::now();
+    std::erase_if(batch, [&](JobT& job) {
+      if (job.deadline > now) return false;
+      fail(job, lane.counters.expired,
+           std::make_exception_ptr(DeadlineExpired()));
+      return true;
+    });
+    // Groups keep arrival order inside and run in key order.
+    std::map<decltype(group_key(batch.front().req, 0)), std::vector<JobT*>>
+        groups;
     for (std::size_t i = 0; i < batch.size(); ++i)
-      by_key[batch[i].req.key_id].push_back(i);
-    for (const auto& [key_id, indices] : by_key) {
-      const falcon::KeyPair* kp = key(key_id);
-      std::vector<std::string_view> messages;
-      messages.reserve(indices.size());
-      for (std::size_t i : indices) messages.push_back(batch[i].req.message);
+      groups[group_key(batch[i].req, i)].push_back(&batch[i]);
+    for (auto& entry : groups) {
+      std::vector<JobT*>& group = entry.second;
       lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
+      lane.counters.batched.add(group.size());
+      for (JobT* job : group) job->trace.stamp(obs::Stage::kEngineStart);
+      std::vector<typename Req::Result> results;
       try {
-        CGS_CHECK_MSG(kp != nullptr, "signing lane lost a registered key");
-        auto sigs = signing_->sign_many(*kp, messages);
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          SignJob& job = batch[indices[j]];
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(sign_telemetry_, key_id, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(std::move(sigs[j]));
-          tracer_->finish(job.trace);
-        }
+        results = execute(std::span<JobT* const>(group));
       } catch (...) {
         const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
+        for (JobT* job : group) fail(*job, lane.counters.failed, error);
+        continue;
       }
-    }
-  }
-}
-
-void Dispatcher::run_verify_lane(Lane<VerifyJob>& lane) {
-  MicroBatcher<VerifyJob, QosQueue<VerifyJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  const std::size_t slice =
-      std::max<std::size_t>(1, options_.verify_steal_slice);
-  std::vector<VerifyJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (VerifyJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by tenant key like the sign lane: one verify pass per key runs
-    // the shared hash/NTT pipeline over the whole group against that key's
-    // cached NTT-domain public key.
-    std::map<std::uint64_t, std::vector<std::size_t>> by_key;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      by_key[batch[i].req.key_id].push_back(i);
-    for (const auto& [key_id, indices] : by_key) {
-      const falcon::KeyPair* kp = key(key_id);
-      std::vector<std::string_view> messages;
-      std::vector<falcon::Signature> sigs;
-      messages.reserve(indices.size());
-      sigs.reserve(indices.size());
-      for (std::size_t i : indices) {
-        messages.push_back(batch[i].req.message);
-        sigs.push_back(std::move(batch[i].req.sig));
-      }
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
-      try {
-        CGS_CHECK_MSG(kp != nullptr, "verify lane lost a registered key");
-        // Large groups split into crew slices: each task verifies a
-        // disjoint subrange and writes a disjoint region of `verdicts`,
-        // so crew workers (and thieving idle sign lanes) run them with no
-        // shared mutable state. run() returns only when every slice is
-        // done — the lane thread itself executes whatever was not stolen.
-        std::vector<std::uint8_t> verdicts(indices.size());
-        if (indices.size() <= slice) {
-          const auto v = verifier_->verify_many(kp->h, kp->params, messages,
-                                                sigs);
-          std::copy(v.begin(), v.end(), verdicts.begin());
-        } else {
-          const std::size_t tasks_n = (indices.size() + slice - 1) / slice;
-          std::vector<std::exception_ptr> errors(tasks_n);
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(tasks_n);
-          for (std::size_t t = 0; t < tasks_n; ++t) {
-            const std::size_t begin = t * slice;
-            const std::size_t count =
-                std::min(slice, indices.size() - begin);
-            tasks.push_back([this, kp, &messages, &sigs, &verdicts, &errors,
-                             t, begin, count] {
-              try {
-                const auto v = verifier_->verify_many(
-                    kp->h, kp->params,
-                    std::span<const std::string_view>(messages)
-                        .subspan(begin, count),
-                    std::span<const falcon::Signature>(sigs)
-                        .subspan(begin, count));
-                std::copy(v.begin(), v.end(), verdicts.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      begin));
-              } catch (...) {
-                errors[t] = std::current_exception();
-              }
-            });
-          }
-          verify_crew_->run(std::move(tasks));
-          for (const auto& e : errors)
-            if (e) std::rethrow_exception(e);
-        }
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          VerifyJob& job = batch[indices[j]];
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(verify_telemetry_, key_id, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(verdicts[j] != 0);
-          tracer_->finish(job.trace);
-        }
-      } catch (...) {
-        const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
-      }
-    }
-  }
-}
-
-void Dispatcher::run_keygen_lane(Lane<KeygenJob>& lane) {
-#ifdef __linux__
-  // Lowest scheduling priority: when keygen and a sign/verify lane compete
-  // for a core, the solver always loses — the lane's isolation guarantee
-  // is its own queue + thread, this makes it hold under CPU contention
-  // too. (Best-effort: EPERM etc. just leaves the default priority.)
-  ::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), 19);
-#endif
-  MicroBatcher<KeygenJob, QosQueue<KeygenJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  std::vector<KeygenJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (KeygenJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    // Keygens are independent multi-hundred-millisecond solves — there is
-    // nothing to batch, the lane just drains them one by one.
-    for (KeygenJob& job : batch) {
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(1);
-      job.trace.stamp(obs::Stage::kEngineStart);
-      // A keygen start is a discrete, operationally loud happening (an
-      // NTRU solve is about to eat a core for hundreds of ms) — exactly
-      // what the event ring exists for.
-      events_->emit(obs::EventKind::kKeygenStart, job.req.params.n, 0,
-                    "keygen lane");
-      try {
-        prng::ChaCha20Source rng(job.req.seed);
-        falcon::KeyPair kp = falcon::keygen(job.req.params, rng);
-        job.trace.stamp(obs::Stage::kEngineEnd);
-        KeygenResult result;
-        result.params = kp.params;
-        result.public_h = kp.h;
-        result.key_id = add_key(std::move(kp));
-        // The tenant only exists once the solve finishes — backfill the
-        // trace so the slow ring can still name it.
-        job.trace.tenant = result.key_id;
+      for (JobT* job : group) job->trace.stamp(obs::Stage::kEngineEnd);
+      for (std::size_t j = 0; j < group.size(); ++j) {
+        JobT& job = *group[j];
         const std::uint64_t latency = elapsed_us(job.submitted);
         lane.counters.latency.record(latency);
-        record_class(keygen_telemetry_, result.key_id, latency,
-                     job.trace.trace_id);
+        record_class(telemetry, job.trace, latency);
         lane.counters.completed.add(1);
         job.trace.stamp(obs::Stage::kFulfilled);
-        job.promise.set_value(std::move(result));
+        job.promise.set_value(std::move(results[j]));
         tracer_->finish(job.trace);
-      } catch (...) {
-        lane.counters.failed.add(1);
-        job.promise.set_exception(std::current_exception());
       }
     }
   }
 }
 
-void Dispatcher::run_gauss_lane(Lane<GaussJob>& lane) {
-  MicroBatcher<GaussJob, QosQueue<GaussJob>> batcher(
-      lane.queue, options_.max_batch,
-      std::chrono::microseconds(options_.max_linger_us));
-  std::vector<GaussJob> batch;
-  while (batcher.next_batch(batch)) {
-    const std::uint64_t closed_us = obs::Trace::now_us();
-    for (GaussJob& job : batch)
-      job.trace.stamp_at(obs::Stage::kBatchClosed, closed_us);
-    drop_expired(batch, lane.counters);
-    if (batch.empty()) continue;
-    // Group by exact target bit patterns: one bulk sample() per distinct
-    // (sigma, center), split back across the requests afterwards.
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             std::vector<std::size_t>>
-        by_target;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      by_target[{std::bit_cast<std::uint64_t>(batch[i].req.sigma),
-                 std::bit_cast<std::uint64_t>(batch[i].req.center)}]
-          .push_back(i);
-    for (const auto& [target, indices] : by_target) {
-      std::size_t total = 0;
-      for (std::size_t i : indices) total += batch[i].req.n;
-      lane.counters.batches.add(1);
-      lane.counters.batched.add(indices.size());
-      for (std::size_t i : indices)
-        batch[i].trace.stamp(obs::Stage::kEngineStart);
-      try {
-        const GaussJob& head = batch[indices.front()];
-        const std::uint64_t tenant =
-            gauss_shard_key(head.req.sigma, head.req.center);
-        const std::vector<std::int32_t> bulk =
-            gaussian_->sample(head.req.sigma, head.req.center, total);
-        for (std::size_t i : indices)
-          batch[i].trace.stamp(obs::Stage::kEngineEnd);
-        std::size_t off = 0;
-        for (std::size_t i : indices) {
-          GaussJob& job = batch[i];
-          std::vector<std::int32_t> slice(
-              bulk.begin() + static_cast<std::ptrdiff_t>(off),
-              bulk.begin() + static_cast<std::ptrdiff_t>(off + job.req.n));
-          off += job.req.n;
-          const std::uint64_t latency = elapsed_us(job.submitted);
-          lane.counters.latency.record(latency);
-          record_class(gauss_telemetry_, tenant, latency, job.trace.trace_id);
-          lane.counters.completed.add(1);
-          job.trace.stamp(obs::Stage::kFulfilled);
-          job.promise.set_value(std::move(slice));
-          tracer_->finish(job.trace);
+std::vector<falcon::Signature> Dispatcher::execute(
+    std::span<Job<SignRequest>* const> group) {
+  const falcon::KeyPair* kp = key(group.front()->req.key_id);
+  CGS_CHECK_MSG(kp != nullptr, "signing lane lost a registered key");
+  std::vector<std::string_view> messages;
+  messages.reserve(group.size());
+  for (const auto* job : group) messages.push_back(job->req.message);
+  return signing_->sign_many(*kp, messages);
+}
+
+std::vector<bool> Dispatcher::execute(
+    std::span<Job<VerifyRequest>* const> group) {
+  const falcon::KeyPair* kp = key(group.front()->req.key_id);
+  CGS_CHECK_MSG(kp != nullptr, "verify lane lost a registered key");
+  std::vector<std::string_view> messages;
+  std::vector<falcon::Signature> sigs;
+  messages.reserve(group.size());
+  sigs.reserve(group.size());
+  for (auto* job : group) {
+    messages.push_back(job->req.message);
+    sigs.push_back(std::move(job->req.sig));
+  }
+  // Large groups split into crew slices: each task verifies a disjoint
+  // subrange and writes a disjoint region of `verdicts`, so crew workers
+  // (and thieving idle sign lanes) run them with no shared mutable state.
+  // run() returns only when every slice is done — the lane thread itself
+  // executes whatever was not stolen.
+  const std::size_t slice =
+      std::max<std::size_t>(1, options_.verify_steal_slice);
+  std::vector<std::uint8_t> verdicts(group.size());
+  if (group.size() <= slice) {
+    verdicts = verifier_->verify_many(kp->h, kp->params, messages, sigs);
+  } else {
+    const std::size_t tasks_n = (group.size() + slice - 1) / slice;
+    std::vector<std::exception_ptr> errors(tasks_n);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(tasks_n);
+    for (std::size_t t = 0; t < tasks_n; ++t) {
+      const std::size_t begin = t * slice;
+      const std::size_t count = std::min(slice, group.size() - begin);
+      tasks.push_back([this, kp, &messages, &sigs, &verdicts, &errors, t,
+                       begin, count] {
+        try {
+          const auto v = verifier_->verify_many(
+              kp->h, kp->params,
+              std::span<const std::string_view>(messages).subspan(begin,
+                                                                  count),
+              std::span<const falcon::Signature>(sigs).subspan(begin, count));
+          std::copy(v.begin(), v.end(),
+                    verdicts.begin() + static_cast<std::ptrdiff_t>(begin));
+        } catch (...) {
+          errors[t] = std::current_exception();
         }
-      } catch (...) {
-        const auto error = std::current_exception();
-        for (std::size_t i : indices) {
-          lane.counters.failed.add(1);
-          batch[i].promise.set_exception(error);
-        }
-      }
+      });
     }
+    verify_crew_->run(std::move(tasks));
+    for (const auto& e : errors)
+      if (e) std::rethrow_exception(e);
   }
+  return std::vector<bool>(verdicts.begin(), verdicts.end());
 }
 
-namespace {
-
-template <typename LanePtr>
-void snapshot_lanes(const std::vector<LanePtr>& lanes,
-                    std::vector<LaneSnapshot>& out, LatencyBuckets& merged) {
-  for (const auto& lane : lanes) {
-    LaneSnapshot snap;
-    snap.submitted = lane->counters.submitted.value();
-    snap.rejected = lane->counters.rejected.value();
-    snap.completed = lane->counters.completed.value();
-    snap.failed = lane->counters.failed.value();
-    snap.expired = lane->counters.expired.value();
-    snap.batches = lane->counters.batches.value();
-    snap.batched = lane->counters.batched.value();
-    snap.queue_depth = lane->queue.size();
-    const QosQueueStats qos = lane->queue.stats();
-    snap.aged_promotions = qos.aged_promotions;
-    snap.priority_inversions = qos.priority_inversions;
-    snap.tenant_rejections = qos.tenant_rejections;
-    snap.tenant_slots = qos.tenant_slots;
-    // One bucket snapshot per lane: all three quantiles and the merge come
-    // from the same copy (the old path re-read the live buckets once per
-    // quantile, so p50/p95/p99 could disagree about the total).
-    const LatencyBuckets buckets = lane->counters.latency.snapshot();
-    snap.p50_us = bucket_quantile(buckets, 0.50);
-    snap.p95_us = bucket_quantile(buckets, 0.95);
-    snap.p99_us = bucket_quantile(buckets, 0.99);
-    for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += buckets[i];
-    out.push_back(snap);
-  }
+std::vector<KeygenResult> Dispatcher::execute(
+    std::span<Job<KeygenRequest>* const> group) {
+  auto& job = *group.front();  // one job per keygen group
+  // A keygen start is a discrete, operationally loud happening (an NTRU
+  // solve is about to eat a core for hundreds of ms) — exactly what the
+  // event ring exists for.
+  events_->emit(obs::EventKind::kKeygenStart, job.req.params.n, 0,
+                "keygen lane");
+  prng::ChaCha20Source rng(job.req.seed);
+  falcon::KeyPair kp = falcon::keygen(job.req.params, rng);
+  KeygenResult result;
+  result.params = kp.params;
+  result.public_h = kp.h;
+  result.key_id = add_key(std::move(kp));
+  // The tenant only exists once the solve finishes — backfill the trace so
+  // the slow ring and the class telemetry can still name it.
+  job.trace.tenant = result.key_id;
+  return {std::move(result)};
 }
 
-}  // namespace
+std::vector<std::vector<std::int32_t>> Dispatcher::execute(
+    std::span<Job<GaussRequest>* const> group) {
+  // One bulk sample() for the group's shared target, split back across
+  // the requests in order.
+  std::size_t total = 0;
+  for (const auto* job : group) total += job->req.n;
+  const GaussRequest& head = group.front()->req;
+  const std::vector<std::int32_t> bulk =
+      gaussian_->sample(head.sigma, head.center, total);
+  std::vector<std::vector<std::int32_t>> slices;
+  slices.reserve(group.size());
+  auto from = bulk.begin();
+  for (const auto* job : group) {
+    const auto to = from + static_cast<std::ptrdiff_t>(job->req.n);
+    slices.emplace_back(from, to);
+    from = to;
+  }
+  return slices;
+}
 
 MetricsSnapshot Dispatcher::metrics() const {
   MetricsSnapshot snap;
-  LatencyBuckets sign_merged{};
-  LatencyBuckets verify_merged{};
-  LatencyBuckets keygen_merged{};
-  LatencyBuckets gauss_merged{};
-  snapshot_lanes(sign_lanes_, snap.sign_lanes, sign_merged);
-  snapshot_lanes(verify_lanes_, snap.verify_lanes, verify_merged);
-  snapshot_lanes(keygen_lanes_, snap.keygen_lanes, keygen_merged);
-  snapshot_lanes(gauss_lanes_, snap.gauss_lanes, gauss_merged);
-  snap.p50_us = bucket_quantile(sign_merged, 0.50);
-  snap.p95_us = bucket_quantile(sign_merged, 0.95);
-  snap.p99_us = bucket_quantile(sign_merged, 0.99);
-  snap.verify_p50_us = bucket_quantile(verify_merged, 0.50);
-  snap.verify_p95_us = bucket_quantile(verify_merged, 0.95);
-  snap.verify_p99_us = bucket_quantile(verify_merged, 0.99);
-  snap.keygen_p50_us = bucket_quantile(keygen_merged, 0.50);
-  snap.keygen_p95_us = bucket_quantile(keygen_merged, 0.95);
-  snap.keygen_p99_us = bucket_quantile(keygen_merged, 0.99);
-  snap.gauss_p50_us = bucket_quantile(gauss_merged, 0.50);
-  snap.gauss_p95_us = bucket_quantile(gauss_merged, 0.95);
-  snap.gauss_p99_us = bucket_quantile(gauss_merged, 0.99);
+  for_each_class([&snap](const auto& c) {
+    using Traits = TraitsOf<decltype(c)>;
+    obs::HistogramBuckets merged{};
+    for (const auto& lane : c.lanes) {
+      LaneSnapshot ls;
+      ls.submitted = lane->counters.submitted.value();
+      ls.rejected = lane->counters.rejected.value();
+      ls.completed = lane->counters.completed.value();
+      ls.failed = lane->counters.failed.value();
+      ls.expired = lane->counters.expired.value();
+      ls.batches = lane->counters.batches.value();
+      ls.batched = lane->counters.batched.value();
+      ls.queue_depth = lane->queue.size();
+      const QosQueueStats qos = lane->queue.stats();
+      ls.aged_promotions = qos.aged_promotions;
+      ls.priority_inversions = qos.priority_inversions;
+      ls.tenant_rejections = qos.tenant_rejections;
+      ls.tenant_slots = qos.tenant_slots;
+      // One bucket snapshot per lane: all three quantiles and the merge
+      // come from the same copy, so p50/p95/p99 agree about the total.
+      const obs::HistogramBuckets buckets = lane->counters.latency.snapshot();
+      ls.p50_us = obs::bucket_quantile(buckets, 0.50);
+      ls.p95_us = obs::bucket_quantile(buckets, 0.95);
+      ls.p99_us = obs::bucket_quantile(buckets, 0.99);
+      for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += buckets[i];
+      (snap.*Traits::kSnapshot).push_back(ls);
+    }
+    for (std::size_t q = 0; q < kQuantileLevels.size(); ++q)
+      snap.*Traits::kQuantiles[q] =
+          obs::bucket_quantile(merged, kQuantileLevels[q]);
+  });
   snap.ffldl_tree_cache = signing_->tree_cache_stats();
   snap.ntt_key_cache = verifier_->key_cache_stats();
   snap.recipe_cache = registry_->recipe_cache_stats();
@@ -755,23 +660,15 @@ MetricsSnapshot Dispatcher::metrics() const {
 
 std::vector<HealthComponent> Dispatcher::health() const {
   std::vector<HealthComponent> out;
-  const auto queues = [&](const auto& lanes, const char* kind) {
+  for_each_class([&](const auto& c) {
     double worst = 0;
-    for (const auto& lane : lanes)
+    for (const auto& lane : c.lanes)
       worst = std::max(worst,
                        static_cast<double>(lane->queue.size()) /
                            static_cast<double>(options_.queue_capacity));
-    HealthComponent c;
-    c.name = std::string(kind) + "_queue";
-    c.value = worst;
-    c.ok = worst < 0.9;
-    c.detail = "worst lane depth / capacity";
-    out.push_back(std::move(c));
-  };
-  queues(sign_lanes_, "sign");
-  queues(verify_lanes_, "verify");
-  queues(keygen_lanes_, "keygen");
-  queues(gauss_lanes_, "gauss");
+    out.push_back({class_name<decltype(c)>() + "_queue", worst < 0.9, worst,
+                   "worst lane depth / capacity"});
+  });
   if (key_state_) {
     const store::KvStoreStats st = key_state_->stats();
     HealthComponent c;

@@ -1,9 +1,10 @@
 #pragma once
 // Dispatcher: the asynchronous front end that turns many small concurrent
 // requests into full bit-sliced batches. Clients submit and get a future;
-// admission is a bounded RequestQueue (typed backpressure, never a block);
-// per-lane threads run a MicroBatcher (close on max_batch or max_linger,
-// whichever first) and hand closed batches to the blocking services:
+// admission is a bounded QosQueue per lane (typed backpressure, never a
+// block); per-lane threads run one shared lane loop around a MicroBatcher
+// (close on max_batch or max_linger, whichever first) and hand closed
+// batches, grouped per class, to the blocking services:
 //
 //   submit(SignRequest) ──── shard by key fingerprint ──> sign lane ──┐
 //   submit(VerifyRequest) ── shard by key fingerprint ──> verify lane ├─ MicroBatcher
@@ -51,8 +52,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/registry.h"
@@ -152,9 +156,11 @@ struct DispatcherOptions {
   /// `tenant_series` tenants + an `other` overflow cell — labeled cells
   /// always sum to the unlabeled global), a windowed end-to-end latency
   /// histogram (`cgs_serve_<class>_latency_us` + derived `_win_*` gauges),
-  /// and SLO verdict counters (`cgs_slo_<class>_{good,bad}_total` against
-  /// `slo_latency_us`). Off registers none of them — the telemetry-pricing
-  /// baseline the bench compares against.
+  /// and SLO verdict counters (`cgs_slo_<class>_{good,bad}_total`: good =
+  /// fulfilled within `slo_latency_us`; bad = fulfilled late, failed, or
+  /// deadline-expired, so good + bad counts every answered request). Off
+  /// registers none of them — the telemetry-pricing baseline the bench
+  /// compares against.
   bool tenant_metrics = true;
   std::size_t tenant_series = 32;
   std::uint64_t slo_latency_us = 50'000;
@@ -259,7 +265,8 @@ class Dispatcher {
   Dispatcher& operator=(const Dispatcher&) = delete;
 
   /// Register a tenant key; returns its id (the key fingerprint) used in
-  /// submit_sign and on the wire. Idempotent for the same key material.
+  /// sign/verify envelopes and on the wire. Idempotent for the same key
+  /// material.
   std::uint64_t add_key(falcon::KeyPair kp);
   /// The registered key for an id; nullptr when unknown.
   const falcon::KeyPair* key(std::uint64_t key_id) const;
@@ -319,10 +326,6 @@ class Dispatcher {
     std::chrono::steady_clock::time_point deadline;
     obs::Trace trace;
   };
-  using SignJob = Job<SignRequest>;
-  using VerifyJob = Job<VerifyRequest>;
-  using KeygenJob = Job<KeygenRequest>;
-  using GaussJob = Job<GaussRequest>;
   template <typename Job>
   struct Lane {
     Lane(const QosQueueOptions& qos, obs::Registry& registry,
@@ -335,7 +338,7 @@ class Dispatcher {
 
   /// Per-class telemetry bundle (see DispatcherOptions::tenant_metrics).
   /// All-null when tenant metrics are off — record_class is then one
-  /// branch per completion.
+  /// branch per answered request.
   struct ClassTelemetry {
     obs::CounterFamily* requests = nullptr;
     obs::WindowedHistogram* latency = nullptr;
@@ -343,28 +346,57 @@ class Dispatcher {
     obs::Counter* slo_bad = nullptr;
   };
 
-  /// The one admission sequence behind every submit() overload: stamp,
-  /// trace (identity included), try the lane queue, account the outcome.
+  /// One request class's entry in the class table: its lanes and its
+  /// class telemetry.
   template <typename Req>
-  Submission<typename Req::Result> submit_impl(Lane<Job<Req>>& lane, Req req,
-                                               obs::RequestClass cls,
-                                               std::uint64_t tenant);
+  struct RequestLanes {
+    using Request = Req;
+    std::vector<std::unique_ptr<Lane<Job<Req>>>> lanes;
+    ClassTelemetry telemetry;
+  };
 
-  /// One completed request's class telemetry: tenant-labeled count,
-  /// windowed latency (exemplar = the request's trace id), SLO verdict.
-  void record_class(const ClassTelemetry& t, std::uint64_t tenant,
-                    std::uint64_t latency_us, std::uint64_t trace_id);
+  template <typename Req>
+  RequestLanes<Req>& lanes_of() {
+    return std::get<RequestLanes<Req>>(classes_);
+  }
+  /// Visit every class's table entry, in sign, verify, keygen, gauss order.
+  template <typename F>
+  void for_each_class(F&& f) {
+    std::apply([&f](auto&... c) { (f(c), ...); }, classes_);
+  }
+  template <typename F>
+  void for_each_class(F&& f) const {
+    std::apply([&f](const auto&... c) { (f(c), ...); }, classes_);
+  }
 
-  void run_sign_lane(Lane<SignJob>& lane);
-  void run_verify_lane(Lane<VerifyJob>& lane);
-  void run_keygen_lane(Lane<KeygenJob>& lane);
-  void run_gauss_lane(Lane<GaussJob>& lane);
+  /// The one admission sequence behind every submit() overload: stamp,
+  /// trace (identity included), try the lane `shard` picks, account the
+  /// outcome.
+  template <typename Req>
+  Submission<typename Req::Result> submit_impl(Req req, std::uint64_t tenant,
+                                               std::uint64_t shard);
 
-  /// Drop every job in `batch` whose deadline already passed: fail the
-  /// promise with DeadlineExpired, count it, keep the rest in order.
-  /// Called at batch close — the one moment a lane inspects jobs anyway.
-  template <typename JobT>
-  void drop_expired(std::vector<JobT>& batch, LaneCounters& counters);
+  /// One answered request's class telemetry: tenant-labeled count and SLO
+  /// verdict, plus the windowed latency (exemplar = the trace id) for a
+  /// fulfilled one. `latency_us` is empty for a failed or expired request,
+  /// which always counts as an SLO miss.
+  void record_class(const ClassTelemetry& t, const obs::Trace& trace,
+                    std::optional<std::uint64_t> latency_us);
+
+  /// The one lane loop every class runs: form a batch, stamp it, drop
+  /// expired jobs, group by the class's group key, run each group through
+  /// the class's execute() overload, then fulfil or fail every job.
+  template <typename Req>
+  void run_lane(Lane<Job<Req>>& lane);
+
+  /// The per-class batch functions: one result per job of `group`, in
+  /// order, or an exception that fails the whole group.
+  std::vector<falcon::Signature> execute(
+      std::span<Job<SignRequest>* const> group);
+  std::vector<bool> execute(std::span<Job<VerifyRequest>* const> group);
+  std::vector<KeygenResult> execute(std::span<Job<KeygenRequest>* const> group);
+  std::vector<std::vector<std::int32_t>> execute(
+      std::span<Job<GaussRequest>* const> group);
 
   void register_bridges();
 
@@ -375,10 +407,6 @@ class Dispatcher {
   obs::Registry* obs_ = nullptr;
   std::unique_ptr<obs::Tracer> tracer_;
   obs::EventLog* events_ = nullptr;  // the registry's event log
-  ClassTelemetry sign_telemetry_;
-  ClassTelemetry verify_telemetry_;
-  ClassTelemetry keygen_telemetry_;
-  ClassTelemetry gauss_telemetry_;
   std::vector<std::string> callback_metrics_;  // unregistered at shutdown
   std::unique_ptr<falcon::SigningService> signing_;
   std::unique_ptr<falcon::VerificationService> verifier_;
@@ -390,10 +418,9 @@ class Dispatcher {
   mutable std::mutex keys_mu_;
   std::map<std::uint64_t, falcon::KeyPair> keys_;
 
-  std::vector<std::unique_ptr<Lane<SignJob>>> sign_lanes_;
-  std::vector<std::unique_ptr<Lane<VerifyJob>>> verify_lanes_;
-  std::vector<std::unique_ptr<Lane<KeygenJob>>> keygen_lanes_;
-  std::vector<std::unique_ptr<Lane<GaussJob>>> gauss_lanes_;
+  std::tuple<RequestLanes<SignRequest>, RequestLanes<VerifyRequest>,
+             RequestLanes<KeygenRequest>, RequestLanes<GaussRequest>>
+      classes_;
 
   std::mutex shutdown_mu_;
   bool shut_down_ = false;

@@ -18,12 +18,6 @@
 
 namespace cgs::serve {
 
-// Historical serve-layer names; the types moved to obs/metric.h when the
-// registry unified all telemetry (tests and benches keep compiling).
-using LatencyBuckets = obs::HistogramBuckets;
-using LatencyHistogram = obs::Histogram;
-using obs::bucket_quantile;
-
 /// One lane's counters, bound by name into an obs::Registry under
 /// `<prefix>_*`. The registry owns the storage, so these references stay
 /// valid for the registry's lifetime and the same counters show up in the
@@ -120,25 +114,20 @@ struct MetricsSnapshot {
   /// Priority inversions across every lane of every class — the QoS
   /// invariant the replay bench gates at exactly zero.
   std::uint64_t priority_inversions() const {
-    return sum(sign_lanes, &LaneSnapshot::priority_inversions) +
-           sum(verify_lanes, &LaneSnapshot::priority_inversions) +
-           sum(keygen_lanes, &LaneSnapshot::priority_inversions) +
-           sum(gauss_lanes, &LaneSnapshot::priority_inversions);
+    return sum_all(&LaneSnapshot::priority_inversions);
   }
   std::uint64_t aged_promotions() const {
-    return sum(sign_lanes, &LaneSnapshot::aged_promotions) +
-           sum(verify_lanes, &LaneSnapshot::aged_promotions) +
-           sum(keygen_lanes, &LaneSnapshot::aged_promotions) +
-           sum(gauss_lanes, &LaneSnapshot::aged_promotions);
+    return sum_all(&LaneSnapshot::aged_promotions);
   }
   std::uint64_t tenant_rejections() const {
-    return sum(sign_lanes, &LaneSnapshot::tenant_rejections) +
-           sum(verify_lanes, &LaneSnapshot::tenant_rejections) +
-           sum(keygen_lanes, &LaneSnapshot::tenant_rejections) +
-           sum(gauss_lanes, &LaneSnapshot::tenant_rejections);
+    return sum_all(&LaneSnapshot::tenant_rejections);
   }
 
  private:
+  std::uint64_t sum_all(std::uint64_t LaneSnapshot::* field) const {
+    return sum(sign_lanes, field) + sum(verify_lanes, field) +
+           sum(keygen_lanes, field) + sum(gauss_lanes, field);
+  }
   static std::uint64_t sum(const std::vector<LaneSnapshot>& lanes,
                            std::uint64_t LaneSnapshot::* field) {
     std::uint64_t total = 0;

@@ -1,23 +1,22 @@
 #pragma once
-// RequestQueue: the serving layer's admission point — a bounded MPMC queue
-// with explicit backpressure. Producers never block: try_push either
-// accepts the item or returns a typed rejection (kQueueFull when the
-// caller should shed load or retry, kShutdown once close() has been
-// called), so a slow signing backend surfaces as rejected submissions
-// instead of an unbounded memory ramp or a convoy of blocked client
-// threads. Consumers (the MicroBatcher) block with a deadline, which is
-// what turns "wait a little for more requests" into full bit-sliced
-// batches.
+// QosQueue: the serving layer's admission point — a bounded MPMC queue
+// with explicit backpressure and scheduling policy. Producers never block:
+// try_push either accepts the item or returns a typed rejection
+// (kQueueFull when the caller should shed load or retry, kTenantFull when
+// only the caller's tenant should back off, kShutdown once close() has
+// been called), so a slow signing backend surfaces as rejected
+// submissions instead of an unbounded memory ramp or a convoy of blocked
+// client threads. Consumers (the MicroBatcher) block with a deadline,
+// which is what turns "wait a little for more requests" into full
+// bit-sliced batches.
 //
-// QosQueue layers policy on the same contract: three strict-priority
-// bands with aging (bulk can never starve, but never convoys interactive
-// work either) and, inside each band, deficit-round-robin across
-// per-tenant sub-queues with a per-tenant depth cap, so one tenant's
-// storm sheds *that tenant* (kTenantFull) while everyone else still
-// admits and batches. The consumer interface (pop / pop_until / close)
-// is identical, so the MicroBatcher drives either queue.
+// The policy: three strict-priority bands with aging (bulk can never
+// starve, but never convoys interactive work either) and, inside each
+// band, deficit-round-robin across per-tenant sub-queues with a
+// per-tenant depth cap, so one tenant's storm sheds *that tenant*
+// (kTenantFull) while everyone else still admits and batches.
 //
-// Plain mutex + two condition variables: the queue hand-off is thousands
+// Plain mutex + one condition variable: the queue hand-off is thousands
 // of times cheaper than the Falcon signing work behind it, so lock-free
 // machinery would buy nothing here (the *metrics* counters on the hot
 // submit path are lock-free — see serve/metrics.h).
@@ -76,82 +75,6 @@ inline const char* to_string(Priority p) {
   return "?";
 }
 
-template <typename T>
-class RequestQueue {
- public:
-  explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {
-    CGS_CHECK_MSG(capacity_ >= 1, "request queue needs capacity >= 1");
-  }
-
-  /// Non-blocking admission; on kOk the item has been moved in and the
-  /// consumer is woken.
-  SubmitStatus try_push(T&& item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return SubmitStatus::kShutdown;
-      if (items_.size() >= capacity_) return SubmitStatus::kQueueFull;
-      items_.push_back(std::move(item));
-    }
-    ready_cv_.notify_one();
-    return SubmitStatus::kOk;
-  }
-
-  /// Blocks until an item arrives or the queue is closed *and* drained.
-  /// Returns false only in the latter case — items queued before close()
-  /// are always delivered (shutdown drains, it does not drop).
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_cv_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  /// Like pop() but gives up at `deadline`; false on timeout or on
-  /// closed-and-drained (check closed() to tell the two apart).
-  template <typename Clock, typename Duration>
-  bool pop_until(T& out,
-                 const std::chrono::time_point<Clock, Duration>& deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_cv_.wait_until(lock, deadline,
-                         [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  /// Stop accepting; wake every waiter. Idempotent.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    ready_cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  /// Instantaneous depth (a gauge — racy by nature, exact at the instant).
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable ready_cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
 struct QosQueueOptions {
   /// Global bound across every band and tenant (kQueueFull beyond).
   std::size_t capacity = 1024;
@@ -184,9 +107,8 @@ struct QosQueueStats {
 
 /// The QoS admission point: strict priority with aging across three
 /// bands, deficit-round-robin across per-tenant sub-queues within a band,
-/// a per-tenant depth cap, and a bounded tenant-slot table. Same consumer
-/// contract as RequestQueue (pop blocks, close drains), so the
-/// MicroBatcher drives it unchanged.
+/// a per-tenant depth cap, and a bounded tenant-slot table. pop blocks
+/// and close drains: items accepted before close() are always delivered.
 template <typename T>
 class QosQueue {
  public:
@@ -227,8 +149,9 @@ class QosQueue {
     return SubmitStatus::kOk;
   }
 
-  /// Blocks until an item arrives or the queue is closed *and* drained
-  /// (same drain-never-drop contract as RequestQueue::pop).
+  /// Blocks until an item arrives or the queue is closed *and* drained.
+  /// Returns false only in the latter case — shutdown drains, it does not
+  /// drop.
   bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mu_);
     ready_cv_.wait(lock, [this] { return total_ > 0 || closed_; });

@@ -122,14 +122,29 @@ class TimingFixture : public ::testing::Test {
 
 TEST_F(TimingFixture, ByteScanCdtLeaks) {
   cdt::CdtByteScanSampler s(table_);
-  // r=0 always decides on the first table row's first byte -> strongly
-  // faster class. This is exactly the leak the paper's samplers remove.
-  // Measurement noise under load can mask it in a single run, so retry
-  // with growing sample counts; any detection proves the leak.
+  // Class 0 is a fixed draw just below the last row's cumulative value: its
+  // leading bytes match those of every tail row, so the scan walks all of
+  // them byte by byte before deciding, while a random draw is decided by its
+  // first byte. This is exactly the leak the paper's samplers remove. (r = 0
+  // does not show it: the first-byte skip table decides r = 0 as fast as a
+  // random draw, a difference of under one cycle that noise under load
+  // masks.) Retry with growing sample counts; any detection proves the leak.
+  std::size_t v = table_.size() - 1;
+  while (v > 0 && (table_.cum(v).lo & 0xff) == 0) --v;  // r keeps 15 bytes
+  std::array<std::uint64_t, 512> tail_words{};
+  for (std::size_t i = 0; i < tail_words.size(); i += 2) {
+    tail_words[i] = table_.cum(v).hi;
+    tail_words[i + 1] = table_.cum(v).lo - 1;
+  }
   stats::WelchResult last;
   for (std::size_t meas : {20000u, 60000u, 200000u}) {
     last = stats::dudect(
-        [&](int cls) { (void)s.sample_magnitude(source_for(cls)); },
+        [&](int cls) {
+          // Same serving cost for both classes, as in source_for().
+          src_.load(cls ? random_words_.data() : tail_words.data(),
+                    tail_words.size());
+          (void)s.sample_magnitude(src_);
+        },
         {.measurements = meas, .warmup = 1000, .keep_percentile = 0.9});
     if (last.leaky()) return;
   }

@@ -67,39 +67,6 @@ DispatcherOptions fast_options() {
   return opts;
 }
 
-// ------------------------------------------------------------- queue -----
-
-TEST(RequestQueue, BackpressureRejectsWhenFullAndAfterClose) {
-  RequestQueue<int> q(2);
-  EXPECT_EQ(q.try_push(1), SubmitStatus::kOk);
-  EXPECT_EQ(q.try_push(2), SubmitStatus::kOk);
-  EXPECT_EQ(q.try_push(3), SubmitStatus::kQueueFull);
-  EXPECT_EQ(q.size(), 2u);
-
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(q.try_push(4), SubmitStatus::kOk);  // capacity freed
-
-  q.close();
-  EXPECT_EQ(q.try_push(5), SubmitStatus::kShutdown);
-  // Items accepted before close still drain, in order.
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 4);
-  EXPECT_FALSE(q.pop(out));  // closed and drained
-}
-
-TEST(RequestQueue, PopUntilTimesOutOnEmpty) {
-  RequestQueue<int> q(1);
-  int out = 0;
-  const auto t0 = Clock::now();
-  EXPECT_FALSE(
-      q.pop_until(out, t0 + std::chrono::milliseconds(30)));
-  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
-}
-
 // --------------------------------------------------------- qos queue -----
 
 TEST(QosQueue, StrictPriorityOrderAcrossBands) {
@@ -125,6 +92,11 @@ TEST(QosQueue, StrictPriorityOrderAcrossBands) {
   const QosQueueStats s = q.stats();
   EXPECT_EQ(s.priority_inversions, 0u);
   EXPECT_EQ(s.aged_promotions, 0u);
+
+  // Drained and still open: pop_until gives up at its deadline.
+  const auto t0 = Clock::now();
+  EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(30)));
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
 }
 
 TEST(QosQueue, AgingValvePromotesStarvedLowerBand) {
@@ -218,14 +190,19 @@ TEST(QosQueue, GlobalCapacityAndCloseKeepRequestQueueContract) {
   ASSERT_EQ(q.try_push(2, Priority::kInteractive, 2), SubmitStatus::kOk);
   EXPECT_EQ(q.try_push(3, Priority::kInteractive, 3),
             SubmitStatus::kQueueFull);
+  EXPECT_EQ(q.size(), 2u);
+  int out = 0;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 2);
+  EXPECT_EQ(q.try_push(3, Priority::kInteractive, 3),
+            SubmitStatus::kOk);  // capacity freed
   q.close();
   EXPECT_EQ(q.try_push(4, Priority::kInteractive, 1),
             SubmitStatus::kShutdown);
   // Items accepted before close still drain (priority order), then the
   // consumer loop ends.
-  int out = 0;
   ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 2);
+  EXPECT_EQ(out, 3);
   ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out, 1);
   EXPECT_FALSE(q.pop(out));
@@ -268,11 +245,12 @@ TEST(TaskCrew, ThievesHelpAndNothingOutlivesRun) {
 // ----------------------------------------------------------- batcher -----
 
 TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
-  RequestQueue<int> q(16);
+  QosQueue<int> q({.capacity = 16});
   // Linger far beyond any sane test runtime: if the batcher waited for it
   // on a full batch, this test would time out rather than pass slowly.
   MicroBatcher<int> batcher(q, 4, std::chrono::seconds(600));
-  for (int i = 0; i < 7; ++i) ASSERT_EQ(q.try_push(int(i)), SubmitStatus::kOk);
+  for (int i = 0; i < 7; ++i)
+    ASSERT_EQ(q.try_push(int(i), Priority::kInteractive, 0), SubmitStatus::kOk);
 
   std::vector<int> batch;
   const auto t0 = Clock::now();
@@ -286,9 +264,9 @@ TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
 }
 
 TEST(MicroBatcher, LingerClosesPartialBatch) {
-  RequestQueue<int> q(16);
+  QosQueue<int> q({.capacity = 16});
   MicroBatcher<int> batcher(q, 64, std::chrono::milliseconds(40));
-  ASSERT_EQ(q.try_push(11), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(11, Priority::kInteractive, 0), SubmitStatus::kOk);
   std::vector<int> batch;
   const auto t0 = Clock::now();
   ASSERT_TRUE(batcher.next_batch(batch));
@@ -303,9 +281,9 @@ TEST(MicroBatcher, LingerClosesPartialBatch) {
 // The leftovers batch above closes by linger too (queue empty): document
 // that a closed queue ends the loop instead.
 TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
-  RequestQueue<int> q(4);
+  QosQueue<int> q({.capacity = 4});
   MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(5));
-  ASSERT_EQ(q.try_push(1), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 0), SubmitStatus::kOk);
   q.close();
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));  // drains the accepted item
@@ -315,7 +293,7 @@ TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
 }
 
 TEST(MicroBatcher, IdleWorkRunsWhileWaitingForFirstItem) {
-  RequestQueue<int> q(4);
+  QosQueue<int> q({.capacity = 4});
   MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(1));
   std::atomic<int> polls{0};
   batcher.set_idle_work([&polls] {
@@ -324,7 +302,7 @@ TEST(MicroBatcher, IdleWorkRunsWhileWaitingForFirstItem) {
   });
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)q.try_push(5);
+    (void)q.try_push(5, Priority::kInteractive, 0);
   });
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));
@@ -340,8 +318,7 @@ TEST(MicroBatcher, DrivesQosQueueAndClosedLoopEnds) {
   opts.capacity = 8;
   opts.age_promote_us = 0;
   QosQueue<int> q(opts);
-  MicroBatcher<int, QosQueue<int>> batcher(q, 4,
-                                           std::chrono::milliseconds(5));
+  MicroBatcher<int> batcher(q, 4, std::chrono::milliseconds(5));
   ASSERT_EQ(q.try_push(2, Priority::kBulk, 1), SubmitStatus::kOk);
   ASSERT_EQ(q.try_push(1, Priority::kInteractive, 1), SubmitStatus::kOk);
   std::vector<int> batch;
@@ -354,7 +331,7 @@ TEST(MicroBatcher, DrivesQosQueueAndClosedLoopEnds) {
 // --------------------------------------------------------- histogram -----
 
 TEST(LatencyHistogram, QuantilesAreOrderedAndBucketed) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (int i = 0; i < 90; ++i) h.record(100);   // bucket [64, 128)
   for (int i = 0; i < 9; ++i) h.record(1000);   // bucket [512, 1024)
   h.record(100000);                             // bucket [65536, 131072)
@@ -517,10 +494,13 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
   DispatcherOptions opts = fast_options();
   opts.max_batch = 8;
   opts.max_linger_us = 20000;
+  opts.slo_latency_us = 60'000'000;  // only the failed request misses it
   Dispatcher d(registry(), opts);
 
   // Several concurrent requests against the same target should collapse
-  // into few bulk sample() calls and come back with the right sizes.
+  // into few bulk sample() calls and come back with the right sizes. One
+  // invalid target rides in the same lane batch: recipe planning rejects
+  // it, which fails that request alone.
   std::vector<std::future<std::vector<std::int32_t>>> futures;
   std::vector<std::size_t> sizes = {100, 1, 77, 1024, 3, 500};
   for (std::size_t n : sizes) {
@@ -528,21 +508,30 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
     ASSERT_TRUE(sub.ok());
     futures.push_back(std::move(sub.future));
   }
+  auto invalid =
+      d.submit(serve::GaussRequest{.sigma = -1.0, .center = 0.0, .n = 16});
+  ASSERT_TRUE(invalid.ok());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const auto samples = futures[i].get();
     ASSERT_EQ(samples.size(), sizes[i]);
   }
-  // One stream materialized for the one distinct target.
+  EXPECT_THROW((void)invalid.future.get(), Error);
+  // One stream materialized for the one valid target.
   EXPECT_EQ(d.gaussian_service().num_streams(), 1u);
 
   const MetricsSnapshot m = d.metrics();
-  std::uint64_t gauss_completed = 0, gauss_batches = 0;
+  std::uint64_t gauss_completed = 0, gauss_failed = 0, gauss_batches = 0;
   for (const auto& lane : m.gauss_lanes) {
     gauss_completed += lane.completed;
+    gauss_failed += lane.failed;
     gauss_batches += lane.batches;
   }
   EXPECT_EQ(gauss_completed, sizes.size());
-  EXPECT_LE(gauss_batches, sizes.size());
+  EXPECT_EQ(gauss_failed, 1u);
+  EXPECT_LE(gauss_batches, sizes.size() + 1);
+  EXPECT_EQ(d.obs_registry().counter("cgs_slo_gauss_bad_total").value(), 1u);
+  EXPECT_EQ(d.obs_registry().counter("cgs_slo_gauss_good_total").value(),
+            sizes.size());
 }
 
 TEST(Dispatcher, VerifyLaneBatchesVerdictsPerKey) {
@@ -635,6 +624,7 @@ TEST(Dispatcher, ExpiredDeadlineDropsTypedAtBatchClose) {
   DispatcherOptions opts = fast_options();
   opts.sign_lanes = 1;
   opts.max_linger_us = 20000;  // the 1us budget is long gone by close
+  opts.slo_latency_us = 60'000'000;  // only the expired request misses it
   Dispatcher d(registry(), opts);
   const std::uint64_t id = d.add_key(key_a());
 
@@ -651,6 +641,9 @@ TEST(Dispatcher, ExpiredDeadlineDropsTypedAtBatchClose) {
   EXPECT_EQ(m.sign_expired(), 1u);
   EXPECT_EQ(m.sign_completed(), 1u);
   EXPECT_EQ(m.priority_inversions(), 0u);
+  // The expired request is an SLO miss; the fulfilled one is on time.
+  EXPECT_EQ(d.obs_registry().counter("cgs_slo_sign_bad_total").value(), 1u);
+  EXPECT_EQ(d.obs_registry().counter("cgs_slo_sign_good_total").value(), 1u);
 }
 
 TEST(Dispatcher, TenantCapShedsStormerWhileVictimAdmits) {
