@@ -8,8 +8,8 @@
 // asserts the exposition actually carries the instrumentation a
 // healthy server must expose — the per-stage trace histograms
 // (queue-wait / linger / compute), the open-connections gauge, and
-// hit/miss counters for all three per-key caches — and exits nonzero
-// when anything is missing. On the Prometheus format it additionally
+// hit/miss counters for the per-key caches and the kernel cache — and
+// exits nonzero when anything is missing. On the Prometheus format it additionally
 // (a) re-adds every labeled cgs_tenant_*_requests_total slice and
 // requires the sum to equal the unlabeled global exactly (the
 // attribution invariant the bounded-cardinality families promise), and
@@ -49,6 +49,10 @@ const char* const kRequiredMetrics[] = {
     "cgs_cache_ntt_key_misses_total",
     "cgs_cache_recipe_hits_total",
     "cgs_cache_recipe_misses_total",
+    // Host-compiled kernels: a warm start is a load from the kernel cache.
+    "cgs_cache_kernel_hits_total",
+    "cgs_cache_kernel_misses_total",
+    "cgs_cache_kernel_warm_starts_total",
     // Bounded-cache lifecycle: evictions under budget pressure and
     // warm starts from the persistent key-state store.
     "cgs_cache_ffldl_tree_evictions_total",

@@ -1,85 +1,26 @@
 #include "ct/compiled_sampler.h"
 
 #include <dlfcn.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <array>
 
-#include "bf/codegen.h"
 #include "common/check.h"
+#include "ct/kernel_cache.h"
 
 namespace cgs::ct {
 
-namespace {
-
-std::string unique_stem() {
-  static std::atomic<unsigned> counter{0};
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "/tmp/cgs_kernel_%d_%u", getpid(),
-                counter.fetch_add(1));
-  return buf;
-}
-
-int run_quiet(const std::string& cmd) {
-  return std::system((cmd + " > /dev/null 2>&1").c_str());
-}
-
-}  // namespace
-
-bool CompiledKernel::is_available() {
-  static const bool ok = [] {
-    return run_quiet("cc --version") == 0 || run_quiet("gcc --version") == 0;
-  }();
-  return ok;
-}
-
-CompiledKernel::CompiledKernel(const SynthesizedSampler& synth)
-    : num_inputs_(static_cast<std::size_t>(synth.netlist.num_inputs())),
-      num_outputs_(synth.netlist.outputs().size()) {
-  const std::string stem = unique_stem();
-  const std::string c_path = stem + ".c";
-  so_path_ = stem + ".so";
-  const auto write_source = [&](bool with_wide) {
-    std::ofstream out(c_path);
-    CGS_CHECK_MSG(out.good(), "cannot write kernel source");
-    out << bf::emit_c(synth.netlist, "cgs_kernel");
-    if (with_wide)
-      out << "\n" << bf::emit_c_wide(synth.netlist, "cgs_kernel_w4");
-  };
-  const std::string compiler =
-      run_quiet("cc --version") == 0 ? "cc" : "gcc";
-  // The kernel is compiled on the host it runs on — exactly the case
-  // -march=native exists for (the wide form roughly doubles on AVX2).
-  // Fallback ladder: native with the 256-lane form -> generic with it ->
-  // scalar-only source (a host compiler without GCC vector extensions
-  // rejects the wide function; the 64-lane kernel must still serve).
-  const std::string flags = " -O2 -shared -fPIC -w -o ";
-  const std::string native_cmd =
-      compiler + " -march=native" + flags + so_path_ + " " + c_path;
-  const std::string generic_cmd = compiler + flags + so_path_ + " " + c_path;
-  write_source(/*with_wide=*/true);
-  if (run_quiet(native_cmd) != 0 && run_quiet(generic_cmd) != 0) {
-    write_source(/*with_wide=*/false);
-    CGS_CHECK_MSG(std::system(generic_cmd.c_str()) == 0,
-                  "kernel compilation failed");
-  }
-  std::remove(c_path.c_str());
-
-  handle_ = dlopen(so_path_.c_str(), RTLD_NOW | RTLD_LOCAL);
-  CGS_CHECK_MSG(handle_ != nullptr, "dlopen failed");
-  fn_ = reinterpret_cast<Fn>(dlsym(handle_, "cgs_kernel"));
+CompiledKernel::CompiledKernel(std::shared_ptr<void> object,
+                               std::size_t num_inputs,
+                               std::size_t num_outputs)
+    : object_(std::move(object)),
+      num_inputs_(num_inputs),
+      num_outputs_(num_outputs) {
+  CGS_CHECK_MSG(object_ != nullptr, "kernel: null object");
+  fn_ = reinterpret_cast<Fn>(dlsym(object_.get(), "cgs_kernel"));
   CGS_CHECK_MSG(fn_ != nullptr, "kernel symbol missing");
   // Absent only if the host compiler rejects vector extensions — the
   // scalar form still serves, callers check has_wide().
-  fn_wide_ = reinterpret_cast<Fn>(dlsym(handle_, "cgs_kernel_w4"));
-}
-
-CompiledKernel::~CompiledKernel() {
-  if (handle_) dlclose(handle_);
-  if (!so_path_.empty()) std::remove(so_path_.c_str());
+  fn_wide_ = reinterpret_cast<Fn>(dlsym(object_.get(), "cgs_kernel_w4"));
 }
 
 void CompiledKernel::eval(std::span<const std::uint64_t> in,
@@ -97,7 +38,7 @@ void CompiledKernel::eval_wide(std::span<const std::uint64_t> in,
 
 CompiledBitslicedSampler::CompiledBitslicedSampler(SynthesizedSampler synth)
     : synth_(std::move(synth)),
-      kernel_(std::make_shared<const CompiledKernel>(synth_)),
+      kernel_(load_or_compile_kernel(KernelSource(synth_)).kernel),
       in_(static_cast<std::size_t>(synth_.precision)),
       out_words_(synth_.netlist.outputs().size()) {}
 

@@ -4,7 +4,8 @@
 // compiler into a shared object, and call it through a function pointer.
 // ~10x faster than the interpreted netlist and what the Table-1/Table-2
 // "this work" rows use when available. Falls back gracefully (is_available
-// == false) when no host compiler can be found.
+// == false) when no host compiler can be found. Building and loading the
+// object — and caching it on disk per machine — is ct/kernel_cache.h.
 
 #include <cstdint>
 #include <memory>
@@ -18,11 +19,12 @@ namespace cgs::ct {
 
 class CompiledKernel {
  public:
-  /// Emits, compiles and loads the kernel — both the 64-lane form and the
-  /// 256-lane vector form (one compile, two symbols). Throws cgs::Error if
-  /// the host compiler fails; use is_available for a soft probe.
-  explicit CompiledKernel(const SynthesizedSampler& synth);
-  ~CompiledKernel();
+  /// Binds the kernel symbols of a loaded object: the 64-lane form and, when
+  /// the compiler took it, the 256-lane vector form. `object` is the dlopen
+  /// handle, released by its deleter. load_or_compile_kernel
+  /// (ct/kernel_cache.h) is the one producer.
+  CompiledKernel(std::shared_ptr<void> object, std::size_t num_inputs,
+                 std::size_t num_outputs);
 
   CompiledKernel(const CompiledKernel&) = delete;
   CompiledKernel& operator=(const CompiledKernel&) = delete;
@@ -39,17 +41,16 @@ class CompiledKernel {
   std::size_t num_inputs() const { return num_inputs_; }
   std::size_t num_outputs() const { return num_outputs_; }
 
-  /// True if a host compiler appears usable (cached probe).
+  /// True if a host compiler appears usable (probed once per process).
   static bool is_available();
 
  private:
   using Fn = void (*)(const std::uint64_t*, std::uint64_t*);
-  void* handle_ = nullptr;
+  std::shared_ptr<void> object_;
   Fn fn_ = nullptr;
   Fn fn_wide_ = nullptr;
   std::size_t num_inputs_ = 0;
   std::size_t num_outputs_ = 0;
-  std::string so_path_;
 };
 
 /// Drop-in replacement for BitslicedSampler running the compiled kernel.
@@ -57,11 +58,12 @@ class CompiledBitslicedSampler {
  public:
   static constexpr int kBatch = 64;
 
+  /// Loads or compiles the kernel for `synth` (no persistent directory).
   explicit CompiledBitslicedSampler(SynthesizedSampler synth);
 
-  /// Share an already-compiled kernel instead of emitting and compiling a
-  /// fresh .so — the engine compiles once and hands the kernel to every
-  /// worker. `kernel` must have been built from an identical netlist.
+  /// Share an already-loaded kernel — the engine loads once and hands the
+  /// kernel to every worker. `kernel` must have been built from an
+  /// identical netlist.
   CompiledBitslicedSampler(SynthesizedSampler synth,
                            std::shared_ptr<const CompiledKernel> kernel);
 

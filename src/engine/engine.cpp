@@ -7,7 +7,9 @@
 #include "common/randombits.h"
 #include "ct/bitsliced_sampler.h"
 #include "ct/compiled_sampler.h"
+#include "ct/kernel_cache.h"
 #include "ct/wide_sampler.h"
+#include "engine/registry.h"
 #include "prng/chacha20.h"
 #include "prng/splitmix.h"
 
@@ -184,22 +186,17 @@ SamplerEngine::SamplerEngine(
   CGS_CHECK_MSG(synth_ != nullptr, "engine: null sampler");
 
   if (backend_ == Backend::kAuto || backend_ == Backend::kCompiled) {
-    if (options.shared_kernel) {
-      CGS_CHECK_MSG(
-          options.shared_kernel->num_inputs() ==
-                  static_cast<std::size_t>(synth_->precision) &&
-              options.shared_kernel->num_outputs() ==
-                  synth_->netlist.outputs().size(),
-          "engine: shared kernel shape does not match the sampler netlist");
-      kernel_ = options.shared_kernel;
-      backend_ = Backend::kCompiled;
-    } else if (ct::CompiledKernel::is_available()) {
+    if (ct::CompiledKernel::is_available()) {
       try {
-        kernel_ = std::make_shared<const ct::CompiledKernel>(*synth_);
+        kernel_ = options.registry
+                      ? options.registry->kernel(*synth_)
+                      : ct::load_or_compile_kernel(ct::KernelSource(*synth_))
+                            .kernel;
         backend_ = Backend::kCompiled;
-      } catch (const Error&) {
+      } catch (const Error& e) {
         CGS_CHECK_MSG(backend_ != Backend::kCompiled,
-                      "engine: compiled backend requested but unavailable");
+                      "engine: compiled backend requested but unavailable: "
+                          << e.what());
         kernel_.reset();
       }
     } else {

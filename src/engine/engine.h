@@ -13,8 +13,9 @@
 // independent ChaCha20 stream whose key is derived from the engine's root
 // seed and the worker index (SplitMix64 mixing), so output is fully
 // deterministic for a fixed (root_seed, num_threads, request size) and no
-// two workers ever share PRNG state. The compiled kernel is emitted and
-// compiled once and shared by all workers (its eval is stateless); the
+// two workers ever share PRNG state. The compiled kernel is loaded once and
+// shared by all workers (its eval is stateless) — from the registry's
+// per-machine kernel cache when EngineOptions::registry is set; the
 // interpreted backends are instantiated per worker.
 
 #include <atomic>
@@ -36,6 +37,8 @@ class CompiledKernel;
 
 namespace cgs::engine {
 
+class SamplerRegistry;
+
 enum class Backend {
   kAuto,       // pick the fastest available at construction
   kCompiled,   // host-compiled netlist kernel (throws if unavailable)
@@ -49,11 +52,12 @@ struct EngineOptions {
   Backend backend = Backend::kAuto;
   int num_threads = 0;          // 0 -> hardware concurrency (min 1)
   std::uint64_t root_seed = 0;  // per-worker streams derived from this
-  /// Optional pre-compiled kernel for this synth (see SamplerEngine::
-  /// kernel()): hosting the netlist C takes seconds for large supports, so
-  /// services running several engines over one base compile once and share.
-  /// Must have been built from the identical netlist; shape-checked.
-  std::shared_ptr<const ct::CompiledKernel> shared_kernel;
+  /// Where the compiled backend gets its kernel: the registry's memoized,
+  /// disk-cached kernel() when set (compiling the netlist C takes seconds
+  /// for large supports, so services share one per netlist and machine);
+  /// else a private compile with no persistent directory. Not owned; only
+  /// used during construction.
+  SamplerRegistry* registry = nullptr;
 };
 
 class SamplerEngine {
@@ -69,9 +73,6 @@ class SamplerEngine {
   Backend backend() const { return backend_; }
   int num_threads() const { return static_cast<int>(workers_.size()); }
   const ct::SynthesizedSampler& synth() const { return *synth_; }
-  /// The compiled kernel in use (null on interpreted backends) — hand it to
-  /// another engine over the same synth via EngineOptions::shared_kernel.
-  std::shared_ptr<const ct::CompiledKernel> kernel() const { return kernel_; }
 
   /// Fill `out` with signed base-Gaussian samples, the request split evenly
   /// across the persistent worker pool (requests smaller than one batch per

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "ct/kernel_cache.h"
 #include "gauss/probmatrix.h"
 #include "serial/formats.h"
 
@@ -221,6 +222,18 @@ gauss::ConvolutionRecipe SamplerRegistry::get_recipe(double target_sigma,
   return *pinned;
 }
 
+SamplerRegistry::KernelPtr SamplerRegistry::kernel(
+    const ct::SynthesizedSampler& synth) {
+  const ct::KernelSource source(synth);
+  auto pinned =
+      kernels_.get_or_build(ct::kernel_key(source), [&]() -> KernelCache::Built {
+        ct::KernelLoad load = ct::load_or_compile_kernel(
+            source, options_.use_disk ? options_.cache_dir + "/kernels" : "");
+        return {std::move(load.kernel), load.bytes, load.warm_start};
+      });
+  return pinned.value();
+}
+
 obs::CacheStats SamplerRegistry::netlist_cache_stats() const {
   return netlists_.stats();
 }
@@ -229,9 +242,14 @@ obs::CacheStats SamplerRegistry::recipe_cache_stats() const {
   return recipes_.stats();
 }
 
+obs::CacheStats SamplerRegistry::kernel_cache_stats() const {
+  return kernels_.stats();
+}
+
 void SamplerRegistry::clear_memory() {
   netlists_.clear();
   recipes_.clear();
+  kernels_.clear();
 }
 
 SamplerRegistry& SamplerRegistry::global() {

@@ -15,6 +15,12 @@
 // (GaussianParams, SynthesisConfig), so two configurations never alias.
 // Corrupted, truncated or version-skewed cache files are rejected by the
 // serial layer and silently fall back to re-synthesis (then overwritten).
+//
+// The registry also memoizes the host-compiled kernel of each netlist
+// (kernel()): with use_disk it is loaded from <cache_dir>/kernels, keyed by
+// the emitted C, the compiler, the flag rung and the CPU signature
+// (ct/kernel_cache.h), so a kernel compiles once per machine rather than
+// once per process.
 
 #include <memory>
 #include <string>
@@ -24,6 +30,10 @@
 #include "gauss/recipe.h"
 #include "obs/metric.h"
 #include "store/bounded_cache.h"
+
+namespace cgs::ct {
+class CompiledKernel;
+}
 
 namespace cgs::engine {
 
@@ -89,6 +99,15 @@ class SamplerRegistry {
                                       int base_precision = 64,
                                       Source* source = nullptr);
 
+  using KernelPtr = std::shared_ptr<const ct::CompiledKernel>;
+
+  /// The host-compiled kernel for `synth`'s netlist: memoized by content
+  /// key, and with use_disk loaded from <cache_dir>/kernels (verified
+  /// owner, mode and hash) instead of recompiled, then persisted there on a
+  /// compile. Thread-safe and single-flight per key. Throws cgs::Error when
+  /// there is no host compiler or no compile rung succeeds.
+  KernelPtr kernel(const ct::SynthesizedSampler& synth);
+
   /// Drop the in-process memo (disk cache untouched). Mostly for tests and
   /// cache-hierarchy benches.
   void clear_memory();
@@ -99,23 +118,29 @@ class SamplerRegistry {
   /// Recipe cache totals: a hit is a get_recipe() served from the memo or
   /// a disk frame, a miss is a plan_recipe run.
   obs::CacheStats recipe_cache_stats() const;
+  /// Kernel cache totals: a warm start is a kernel loaded from
+  /// <cache_dir>/kernels, any other miss is a compile; bytes are the sizes
+  /// of the loaded shared objects.
+  obs::CacheStats kernel_cache_stats() const;
 
   /// Process-wide instance (reads $CGS_CACHE_DIR at first use).
   static SamplerRegistry& global();
 
  private:
-  // Both memos ride the shared bounded-cache core: single-flight
+  // All three memos ride the shared bounded-cache core: single-flight
   // deduplication (a failed synthesis is evicted, so the next request
   // retries instead of replaying the failure), 2Q eviction under a budget,
   // and hit/miss/eviction/warm-start accounting. The per-key disk frames
   // are the persistent layer: an evicted entry's next get() decodes the
-  // frame (warm start) rather than re-synthesizing.
+  // frame (warm start) rather than re-synthesizing. Kernels are unbounded.
   using NetlistCache = store::BoundedCache<std::string, ct::SynthesizedSampler>;
   using RecipeCache = store::BoundedCache<std::string, gauss::ConvolutionRecipe>;
+  using KernelCache = store::BoundedCache<std::string, ct::CompiledKernel>;
 
   Options options_;
   NetlistCache netlists_;
   RecipeCache recipes_;
+  KernelCache kernels_;
 };
 
 }  // namespace cgs::engine

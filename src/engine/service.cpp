@@ -57,22 +57,13 @@ GaussianService::Stream& GaussianService::stream_for(double sigma,
   eng.backend = options_.backend;
   eng.num_threads = options_.num_threads;
   eng.root_seed = seed1;
-  // Hosting the netlist kernel can dominate stream bring-up (seconds for
-  // large supports); reuse an earlier stream's compile over the same base,
-  // and within the stream the second engine reuses the first one's.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = kernels_.find(synth.get()); it != kernels_.end())
-      eng.shared_kernel = it->second;
-  }
+  // Every engine over one base shares the registry's kernel for it.
+  eng.registry = registry_;
   stream->eng1 = std::make_unique<SamplerEngine>(synth, eng);
-  EngineOptions eng2 = eng;
-  eng2.root_seed = seed2;
-  eng2.shared_kernel = stream->eng1->kernel();
-  stream->eng2 = std::make_unique<SamplerEngine>(synth, eng2);
+  eng.root_seed = seed2;
+  stream->eng2 = std::make_unique<SamplerEngine>(synth, eng);
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto kernel = stream->eng1->kernel()) kernels_[synth.get()] = kernel;
   auto [it, inserted] = streams_.emplace(key, std::move(stream));
   // A concurrent first request for the same target may have won the race;
   // its stream (identical by construction) serves both callers.

@@ -91,12 +91,8 @@ class GaussianService {
 
   SamplerRegistry* registry_;
   ServiceOptions options_;
-  mutable std::mutex mu_;  // guards streams_ and kernels_ map shape
+  mutable std::mutex mu_;  // guards streams_ map shape
   std::map<std::string, std::unique_ptr<Stream>> streams_;  // by recipe key
-  // Compiled kernels shared across every stream over one base sampler
-  // (keyed by the registry-memoized synth instance): hosting the netlist C
-  // takes seconds per compile, and two targets often share a ladder rung.
-  std::map<const void*, std::shared_ptr<const ct::CompiledKernel>> kernels_;
   std::atomic<std::uint64_t> samples_served_{0};
 };
 

@@ -56,7 +56,6 @@ SigningService::SigningService(engine::SamplerRegistry& registry,
   // per worker, so streams never overlap and adding workers only extends
   // the derivation sequence.
   prng::SplitMix64Source seeder(options_.root_seed);
-  std::shared_ptr<const ct::CompiledKernel> shared_kernel;
   for (int t = 0; t < threads; ++t) {
     const std::uint64_t engine_seed = seeder.next_word();
     const std::uint64_t word_seed = seeder.next_word();
@@ -65,9 +64,8 @@ SigningService::SigningService(engine::SamplerRegistry& registry,
     eng.backend = options_.backend;
     eng.num_threads = 1;  // the service owns the fan-out, not the engine
     eng.root_seed = engine_seed;
-    eng.shared_kernel = shared_kernel;  // compile once, share across workers
+    eng.registry = &registry;  // one kernel per machine, shared by workers
     worker->engine = std::make_unique<engine::SamplerEngine>(synth, eng);
-    if (t == 0) shared_kernel = worker->engine->kernel();
     worker->source = std::make_unique<engine::EngineBlockSource>(
         *worker->engine, word_seed, options_.block);
     worker->samplerz =

@@ -1,11 +1,11 @@
 #pragma once
 // SigningService: the batch-first Falcon signing front end, mirroring
 // engine::GaussianService one layer up. The offline artifacts (synthesized
-// sigma=2 netlist via the registry, per-key ffLDL trees) are materialized
-// once and cached; the online path is a pool of stateful workers, each
-// owning a private engine-backed BlockSource, SamplerZ and ffSampling
-// scratch, so sign_many() fans a batch of messages out across threads with
-// zero shared mutable sampling state.
+// sigma=2 netlist and its compiled kernel via the registry, per-key ffLDL
+// trees) are materialized once and cached; the online path is a pool of
+// stateful workers, each owning a private engine-backed BlockSource,
+// SamplerZ and ffSampling scratch, so sign_many() fans a batch of messages
+// out across threads with zero shared mutable sampling state.
 //
 // Concurrency: sign_many() holds the pool lock only to check workers out
 // and back in, never across the signing work itself, so two concurrent
@@ -72,8 +72,8 @@ struct SigningOptions {
 
 class SigningService {
  public:
-  /// `registry` (not owned) supplies the synthesized sigma=2 base sampler;
-  /// it must outlive the service.
+  /// `registry` (not owned) supplies the synthesized sigma=2 base sampler
+  /// and its compiled kernel; it must outlive the service.
   explicit SigningService(engine::SamplerRegistry& registry,
                           SigningOptions options = {});
 

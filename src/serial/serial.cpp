@@ -203,7 +203,7 @@ TypeTag peek_tag(std::span<const std::uint8_t> frame) {
     throw SerialError("serial: format version mismatch");
   const std::uint32_t tag = r.u32();
   if (tag < static_cast<std::uint32_t>(TypeTag::kNetlist) ||
-      tag > static_cast<std::uint32_t>(TypeTag::kHealthResponse)) {
+      tag > static_cast<std::uint32_t>(TypeTag::kKernelDigest)) {
     std::ostringstream os;
     os << "serial: unknown type tag " << tag;
     throw SerialError(os.str());

@@ -77,6 +77,9 @@ enum class TypeTag : std::uint32_t {
   // answerable while the serving path is saturated.
   kHealthRequest = 17,
   kHealthResponse = 18,
+  // Sidecar of a cached host-compiled kernel (ct/kernel_cache.h): the
+  // size and hash64 of the shared object it sits next to. Disk-only.
+  kKernelDigest = 19,
 };
 
 /// The tag of a frame without validating its payload: header-only checks

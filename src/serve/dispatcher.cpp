@@ -337,6 +337,7 @@ void Dispatcher::register_bridges() {
   cache("ntt_key", [svc = verifier_.get()] { return svc->key_cache_stats(); });
   cache("recipe", [reg = registry_] { return reg->recipe_cache_stats(); });
   cache("netlist", [reg = registry_] { return reg->netlist_cache_stats(); });
+  cache("kernel", [reg = registry_] { return reg->kernel_cache_stats(); });
 
   if (key_state_) {
     store::KvStore* kv = key_state_.get();
@@ -652,6 +653,7 @@ MetricsSnapshot Dispatcher::metrics() const {
   snap.ntt_key_cache = verifier_->key_cache_stats();
   snap.recipe_cache = registry_->recipe_cache_stats();
   snap.netlist_cache = registry_->netlist_cache_stats();
+  snap.kernel_cache = registry_->kernel_cache_stats();
   snap.base_calls = signing_->base_calls();
   snap.base_rejections = signing_->rejections();
   snap.gauss_samples_served = gaussian_->samples_served();

@@ -89,6 +89,7 @@ struct MetricsSnapshot {
   obs::CacheStats ntt_key_cache;     // VerificationService
   obs::CacheStats recipe_cache;      // SamplerRegistry recipes
   obs::CacheStats netlist_cache;     // SamplerRegistry netlists
+  obs::CacheStats kernel_cache;      // SamplerRegistry compiled kernels
   std::uint64_t base_calls = 0;      // engine base-sampler invocations
   std::uint64_t base_rejections = 0;
   std::uint64_t gauss_samples_served = 0;

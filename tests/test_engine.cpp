@@ -1,6 +1,7 @@
 // Sampler engine subsystem: registry memoization, disk-cache hierarchy
-// (synthesize -> persist -> warm load), corruption fallback, and the
-// multi-threaded batch sampling service.
+// (synthesize -> persist -> warm load), corruption fallback, the
+// per-machine compiled-kernel cache, and the multi-threaded batch sampling
+// service.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +9,15 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "ct/bitsliced_sampler.h"
 #include "ct/compiled_sampler.h"
+#include "ct/kernel_cache.h"
 #include "engine/engine.h"
 #include "engine/registry.h"
+#include "gauss/probmatrix.h"
 #include "prng/chacha20.h"
 #include "serial/serial.h"
 
@@ -204,6 +208,244 @@ TEST(Registry, ConcurrentFirstLookupSynthesizesOnce) {
 // ----------------------------------------------------------------- engine ---
 
 class EngineBackends : public ::testing::TestWithParam<Backend> {};
+
+// ----------------------------------------------------------- kernel cache
+
+// A small netlist: its kernel compiles in a fraction of a second.
+std::shared_ptr<const ct::SynthesizedSampler> small_synth() {
+  static const auto synth = std::make_shared<const ct::SynthesizedSampler>(
+      ct::synthesize(gauss::ProbMatrix(gauss::GaussianParams::sigma_1(32)),
+                     {}));
+  return synth;
+}
+
+// The 64-lane and 256-lane outputs (values and valid masks) of a kernel
+// for a fixed seed.
+struct KernelStreams {
+  std::vector<std::int32_t> narrow, wide;
+  std::vector<std::uint64_t> narrow_valid, wide_valid;
+  bool operator==(const KernelStreams&) const = default;
+};
+
+KernelStreams kernel_streams(
+    const std::shared_ptr<const ct::CompiledKernel>& kernel) {
+  const ct::SynthesizedSampler& synth = *small_synth();
+  KernelStreams s;
+  std::int32_t batch[256];
+  ct::CompiledBitslicedSampler narrow(synth, kernel);
+  prng::ChaCha20Source rng_narrow(7);
+  for (int it = 0; it < 16; ++it) {
+    s.narrow_valid.push_back(narrow.sample_batch(rng_narrow, batch));
+    s.narrow.insert(s.narrow.end(), batch, batch + 64);
+  }
+  EXPECT_TRUE(kernel->has_wide());
+  if (!kernel->has_wide()) return s;
+  ct::WideCompiledSampler wide(synth, kernel);
+  prng::ChaCha20Source rng_wide(7);
+  std::uint64_t mask[4];
+  for (int it = 0; it < 16; ++it) {
+    wide.sample_batch(rng_wide, batch, mask);
+    s.wide.insert(s.wide.end(), batch, batch + 256);
+    s.wide_valid.insert(s.wide_valid.end(), mask, mask + 4);
+  }
+  return s;
+}
+
+// The streams of a registry kernel over `dir`, plus that registry's
+// kernel-cache totals (the registry and its kernel are gone on return).
+KernelStreams registry_streams(const std::string& dir, obs::CacheStats& stats,
+                               bool use_disk = true) {
+  SamplerRegistry reg({.cache_dir = dir, .use_disk = use_disk});
+  KernelStreams s = kernel_streams(reg.kernel(*small_synth()));
+  stats = reg.kernel_cache_stats();
+  return s;
+}
+
+std::vector<std::filesystem::path> kernel_objects(const std::string& dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir + "/kernels"))
+    if (e.path().extension() == ".so") out.push_back(e.path());
+  return out;
+}
+
+std::size_t num_entries(const std::string& path) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator(path))
+    ++n;
+  return n;
+}
+
+TEST(KernelCache, WarmLoadIsBitIdenticalToColdCompile) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  namespace fs = std::filesystem;
+  const std::string dir = fresh_dir("kernel-warm");
+  obs::CacheStats st;
+  KernelStreams cold;
+  {
+    SamplerRegistry reg({.cache_dir = dir});
+    const auto kernel = reg.kernel(*small_synth());
+    EXPECT_EQ(reg.kernel(*small_synth()).get(), kernel.get());  // memo hit
+    cold = kernel_streams(kernel);
+    st = reg.kernel_cache_stats();
+  }
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.warm_starts, 0u);
+  EXPECT_EQ(st.entries, 1u);
+  EXPECT_GT(st.bytes, 0u);
+
+  // <cache_dir>/kernels is 0700, each object 0600 with a digest sidecar.
+  const auto objects = kernel_objects(dir);
+  ASSERT_EQ(objects.size(), 1u);
+  EXPECT_EQ(fs::status(dir + "/kernels").permissions(), fs::perms::owner_all);
+  EXPECT_EQ(fs::status(objects[0]).permissions(),
+            fs::perms::owner_read | fs::perms::owner_write);
+  EXPECT_TRUE(fs::exists(fs::path(objects[0]).replace_extension(".sum")));
+  EXPECT_EQ(num_entries(dir + "/kernels"), 2u);  // no staging left behind
+
+  const KernelStreams warm = registry_streams(dir, st);
+  EXPECT_EQ(st.warm_starts, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_TRUE(warm == cold);
+  fs::remove_all(dir);
+}
+
+TEST(KernelCache, CorruptObjectIsRejectedRecompiledAndOverwritten) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  namespace fs = std::filesystem;
+  const std::string dir = fresh_dir("kernel-corrupt");
+  obs::CacheStats st;
+  const KernelStreams cold = registry_streams(dir, st);
+  const fs::path so = kernel_objects(dir).at(0);
+  const auto size = fs::file_size(so);
+
+  for (const bool truncate : {true, false}) {
+    SCOPED_TRACE(truncate ? "truncated" : "bit-flipped");
+    if (truncate) {
+      fs::resize_file(so, size / 2);
+    } else {
+      std::fstream f(so, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(size / 2));
+      const char byte = static_cast<char>(f.get() ^ 0x10);
+      f.seekp(static_cast<std::streamoff>(size / 2));
+      f.put(byte);
+    }
+    // Rejected before dlopen (a load would count as a warm start), then
+    // recompiled into place ...
+    EXPECT_TRUE(registry_streams(dir, st) == cold);
+    EXPECT_EQ(st.warm_starts, 0u);
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(fs::file_size(so), size);
+    // ... so the next process warm-loads the repaired object.
+    EXPECT_TRUE(registry_streams(dir, st) == cold);
+    EXPECT_EQ(st.warm_starts, 1u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(KernelCache, UntrustedDirectoryOrSymlinkedObjectIsNeverLoaded) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  namespace fs = std::filesystem;
+  const std::string dir = fresh_dir("kernel-trust");
+  const std::string kdir = dir + "/kernels";
+  obs::CacheStats st;
+  const KernelStreams cold = registry_streams(dir, st);
+  const fs::path so = kernel_objects(dir).at(0);
+  const auto stamp = fs::last_write_time(so);
+
+  for (const fs::perms extra : {fs::perms::group_write, fs::perms::others_write}) {
+    fs::permissions(kdir, fs::perms::owner_all | extra, fs::perm_options::replace);
+    EXPECT_TRUE(registry_streams(dir, st) == cold);
+    EXPECT_EQ(st.warm_starts, 0u);
+    EXPECT_EQ(st.misses, 1u);
+    // Neither read nor written: the directory is exactly as it was.
+    EXPECT_EQ(num_entries(kdir), 2u);
+    EXPECT_EQ(fs::last_write_time(so), stamp);
+  }
+  fs::permissions(kdir, fs::perms::owner_all, fs::perm_options::replace);
+
+  // A valid object of ours behind a symlink is still refused, and the
+  // recompile replaces the link with a real file.
+  const fs::path real = fs::path(kdir) / "elsewhere.so";
+  fs::rename(so, real);
+  fs::create_symlink(real.filename(), so);
+  EXPECT_TRUE(registry_streams(dir, st) == cold);
+  EXPECT_EQ(st.warm_starts, 0u);
+  EXPECT_FALSE(fs::is_symlink(so));
+  EXPECT_TRUE(registry_streams(dir, st) == cold);
+  EXPECT_EQ(st.warm_starts, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(KernelCache, KeyCoversSourceCompilerRungAndCpu) {
+  using ct::FlagRung;
+  const std::string k =
+      ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kNative, "x86:Intel:a");
+  EXPECT_EQ(k, ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kNative,
+                                    "x86:Intel:a"));
+  EXPECT_NE(k, ct::kernel_cache_key(2, "gcc 12.2.0", FlagRung::kNative,
+                                    "x86:Intel:a"));
+  EXPECT_NE(k, ct::kernel_cache_key(1, "gcc 13.1.0", FlagRung::kNative,
+                                    "x86:Intel:a"));
+  EXPECT_NE(k, ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kNative,
+                                    "x86:AMD:a"));
+  const std::string generic =
+      ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kGeneric, "x86:Intel:a");
+  const std::string scalar =
+      ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kScalar, "x86:Intel:a");
+  EXPECT_NE(k, generic);
+  EXPECT_NE(k, scalar);
+  EXPECT_NE(generic, scalar);
+  for (char c : k)
+    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || c == '-')
+        << k;
+
+  // The source hash covers both forms: the scalar rung's text is the
+  // 64-lane function alone, the others add the 256-lane form.
+  const ct::KernelSource source(*small_synth());
+  EXPECT_NE(source.hash(FlagRung::kScalar), source.hash(FlagRung::kNative));
+  EXPECT_EQ(source.hash(FlagRung::kGeneric), source.hash(FlagRung::kNative));
+}
+
+TEST(KernelCache, WithoutDiskNothingIsWrittenUnderCacheDir) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  const std::string dir = fresh_dir("kernel-nodisk");
+  obs::CacheStats st;
+  registry_streams(dir, st, /*use_disk=*/false);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(KernelCache, CacheDirWithSpaceAndQuoteCompilesPersistsAndReloads) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  const std::string dir = fresh_dir("a b'c");
+  obs::CacheStats st;
+  const KernelStreams cold = registry_streams(dir, st);
+  EXPECT_EQ(st.warm_starts, 0u);
+  EXPECT_EQ(kernel_objects(dir).size(), 1u);
+  EXPECT_TRUE(registry_streams(dir, st) == cold);
+  EXPECT_EQ(st.warm_starts, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, EnginesShareTheRegistryKernel) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  SamplerRegistry reg({.cache_dir = fresh_dir("kernel-share"),
+                       .use_disk = false});
+  SamplerEngine a(small_synth(),
+                  {.num_threads = 1, .root_seed = 5, .registry = &reg});
+  SamplerEngine b(small_synth(),
+                  {.num_threads = 1, .root_seed = 5, .registry = &reg});
+  EXPECT_EQ(a.backend(), Backend::kCompiled);
+  EXPECT_EQ(reg.kernel_cache_stats().misses, 1u);
+  EXPECT_EQ(reg.kernel_cache_stats().hits, 1u);
+  // Same stream as a standalone engine, which compiles privately.
+  SamplerEngine standalone(small_synth(), {.num_threads = 1, .root_seed = 5});
+  const auto first = a.sample(3000);
+  EXPECT_EQ(standalone.sample(3000), first);
+  EXPECT_EQ(b.sample(3000), first);
+}
 
 TEST_P(EngineBackends, StatisticalSanityAndDeterminism) {
   const Backend backend = GetParam();

@@ -532,6 +532,12 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
   EXPECT_EQ(d.obs_registry().counter("cgs_slo_gauss_bad_total").value(), 1u);
   EXPECT_EQ(d.obs_registry().counter("cgs_slo_gauss_good_total").value(),
             sizes.size());
+
+  // The registry's kernel cache is exported next to the snapshot's copy.
+  double exported_misses = -1;
+  for (const obs::Sample& s : d.obs_registry().collect())
+    if (s.name == "cgs_cache_kernel_misses_total") exported_misses = s.value;
+  EXPECT_EQ(exported_misses, static_cast<double>(m.kernel_cache.misses));
 }
 
 TEST(Dispatcher, VerifyLaneBatchesVerdictsPerKey) {

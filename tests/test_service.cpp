@@ -302,6 +302,11 @@ TEST(ServiceBackendDifferential, IdenticalStreamsAcrossBackendsOnSigmaCGrid) {
           << " backend " << backend_name(backends[b]) << " diverged from "
           << backend_name(backends[0]);
   }
+  // The compiled service's two engines share the registry's one kernel.
+  if (ct::CompiledKernel::is_available()) {
+    EXPECT_EQ(reg.kernel_cache_stats().misses, 1u);
+    EXPECT_EQ(reg.kernel_cache_stats().hits, 1u);
+  }
 }
 
 // Chi-square + Renyi acceptance on the service path the verification lane
