@@ -36,14 +36,29 @@ void reduce_against(const ZPoly& f, const ZPoly& g, ZPoly& F, ZPoly& G) {
   // den = f f* + g g* (real, positive for f,g not both zero anywhere).
   const CVec den = add_fft(mul_fft(fa, adj_fft(fa)), mul_fft(ga, adj_fft(ga)));
 
-  for (int iter = 0; iter < 400; ++iter) {
-    const int cap = std::max({53, zp_max_bits(F), zp_max_bits(G)});
-    const int shift = std::max(0, cap - size);
-    const CVec Fa = fft(zp_to_doubles(F, cap));
-    const CVec Ga = fft(zp_to_doubles(G, cap));
+  for (int bits = std::max(zp_max_bits(F), zp_max_bits(G));;) {
+    // F, G are imaged at 2^-(scale-53) and f, g at 2^-(size-53), so k_real
+    // is the true quotient scaled by 2^-shift.
+    const int scale = std::max(bits, size);
+    int shift = scale - size;
+    const CVec Fa = fft(zp_to_doubles(F, scale));
+    const CVec Ga = fft(zp_to_doubles(G, scale));
     const CVec num =
         add_fft(mul_fft(Fa, adj_fft(fa)), mul_fft(Ga, adj_fft(ga)));
-    const std::vector<double> k_real = ifft(div_fft(num, den));
+    std::vector<double> k_real = ifft(div_fft(num, den));
+
+    // While (F, G) is longer than (f, g), k_real itself is O(1): rounding
+    // it would take a bit or two per round, or nothing. Scale it up to
+    // about 30 bits and subtract k (f, g) 2^shift with the remaining shift.
+    double k_max = 0.0;
+    for (const double v : k_real) k_max = std::max(k_max, std::fabs(v));
+    if (shift > 0 && k_max > 0.0) {
+      int exponent = 0;
+      std::frexp(k_max, &exponent);  // k_max < 2^exponent
+      const int e = std::clamp(30 - exponent, 0, shift);
+      for (double& v : k_real) v = std::ldexp(v, e);
+      shift -= e;
+    }
 
     ZPoly k(m, BigInt(0));
     bool any = false;
@@ -63,10 +78,12 @@ void reduce_against(const ZPoly& f, const ZPoly& g, ZPoly& F, ZPoly& G) {
       F[i] -= fk[i].shifted_left(shift);
       G[i] -= gk[i].shifted_left(shift);
     }
+    // Done once a round no longer shortens (F, G): the quotient has been
+    // taken to the last bit the double steering resolves.
+    const int next = std::max(zp_max_bits(F), zp_max_bits(G));
+    if (next >= bits) return;
+    bits = next;
   }
-  // Babai with double steering occasionally stops making progress on the
-  // last few bits; that is fine — the result is still an exact solution,
-  // just marginally longer. Callers validate f G - g F == q regardless.
 }
 
 namespace {

@@ -1,16 +1,62 @@
 #include "falcon/zpoly.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.h"
 
 namespace cgs::falcon {
 
 using bigint::BigInt;
+using i128 = __int128;
+using u128 = unsigned __int128;
+
+namespace {
+
+BigInt from_i128(i128 v) {
+  const bool neg = v < 0;
+  const u128 mag = neg ? -static_cast<u128>(v) : static_cast<u128>(v);
+  constexpr std::uint64_t kLow63 = (std::uint64_t{1} << 63) - 1;
+  const auto hi = static_cast<std::int64_t>(mag >> 63);  // < 2^63 below 2^126
+  const auto lo = static_cast<std::int64_t>(mag & kLow63);
+  const BigInt r = hi == 0 ? BigInt(lo) : BigInt(hi).shifted_left(63) + BigInt(lo);
+  return neg ? -r : r;
+}
+
+// Negacyclic schoolbook in machine words. The caller guarantees
+// bits(a) + bits(b) + bit_width(m) + 1 <= 126: each of the m products in a
+// coefficient is below 2^(bits(a)+bits(b)), so every partial sum stays
+// below 2^125 and no __int128 accumulator can overflow.
+ZPoly mul_words(const ZPoly& a, const ZPoly& b) {
+  const std::size_t m = a.size();
+  std::vector<std::int64_t> x(m), y(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    x[i] = a[i].to_int64();
+    y[i] = b[i].to_int64();
+  }
+  std::vector<i128> acc(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (x[i] == 0) continue;
+    const i128 xi = x[i];
+    for (std::size_t j = 0; j < m - i; ++j) acc[i + j] += xi * y[j];
+    for (std::size_t j = m - i; j < m; ++j) acc[i + j - m] -= xi * y[j];  // x^m = -1
+  }
+  ZPoly c(m);
+  for (std::size_t k = 0; k < m; ++k) c[k] = from_i128(acc[k]);
+  return c;
+}
+
+}  // namespace
 
 ZPoly zp_mul(const ZPoly& a, const ZPoly& b) {
   const std::size_t m = a.size();
   CGS_CHECK(b.size() == m);
+  const int bits_a = zp_max_bits(a);
+  const int bits_b = zp_max_bits(b);
+  if (bits_a <= 63 && bits_b <= 63 &&
+      bits_a + bits_b + std::bit_width(m) + 1 <= 126)
+    return mul_words(a, b);
   ZPoly c(m, BigInt(0));
   for (std::size_t i = 0; i < m; ++i) {
     if (a[i].is_zero()) continue;

@@ -1,8 +1,9 @@
 #pragma once
 // Exact polynomial arithmetic over Z[x]/(x^m+1) with BigInt coefficients —
 // the language NTRUSolve speaks. Sizes here are small (m halves every
-// recursion level) but coefficients grow to resultant scale, so everything
-// is schoolbook over BigInt.
+// recursion level) but coefficients grow to resultant scale, so products
+// are schoolbook over BigInt, or over int64/__int128 when the operands are
+// small enough that no coefficient can reach 2^125.
 
 #include <vector>
 
@@ -12,7 +13,8 @@ namespace cgs::falcon {
 
 using ZPoly = std::vector<bigint::BigInt>;
 
-/// c = a * b mod x^m+1 (negacyclic schoolbook).
+/// c = a * b mod x^m+1 (negacyclic schoolbook; machine words when
+/// bits(a) + bits(b) + bit_width(m) + 1 <= 126).
 ZPoly zp_mul(const ZPoly& a, const ZPoly& b);
 
 ZPoly zp_add(const ZPoly& a, const ZPoly& b);
