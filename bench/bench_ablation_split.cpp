@@ -16,9 +16,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/flat_baseline.h"
-#include "ct/wide_sampler.h"
 #include "prng/splitmix.h"
 
 namespace {
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
     prng::SplitMix64Source rng(9);
     std::uint32_t out[ct::BitslicedSampler::kBatch];
     const double ms =
-        median_ms([&] { return s.sample_magnitudes(rng, out); }, batches);
+        median_ms([&] { return s.sample_magnitudes(rng, out)[0]; }, batches);
     record(std::move(key), ms, batches * ct::BitslicedSampler::kBatch,
            s.synth());
   };
@@ -120,12 +119,8 @@ int main(int argc, char** argv) {
     ct::WideBitslicedSampler s(ct::synthesize(m, {}));
     prng::SplitMix64Source rng(11);
     std::uint32_t out[ct::WideBitslicedSampler::kBatch];
-    std::uint64_t valid[4];
     const double ms = median_ms(
-        [&] {
-          s.sample_magnitudes(rng, out, valid);
-          return out[0] + valid[0];
-        },
+        [&] { return out[0] + s.sample_magnitudes(rng, out)[0]; },
         batches / 4);
     record("width256/" + name, ms,
            batches / 4 * ct::WideBitslicedSampler::kBatch, s.synth());

@@ -12,9 +12,10 @@
 
 #include "bench_util.h"
 #include "cdt/cdt_samplers.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/buffered.h"
 #include "ct/compiled_sampler.h"
+#include "ct/kernel_cache.h"
 #include "ct/synthesis.h"
 #include "ddg/kysampler.h"
 #include "prng/splitmix.h"
@@ -79,12 +80,14 @@ int main(int argc, char** argv) {
             rng = prng::SplitMix64Source(3)]() mutable { return s.sample(rng); };
   });
   run("bitsliced_ct", [&] {
-    return [s = ct::BufferedBitslicedSampler(synth),
+    return [s = ct::BufferedSampler(synth),
             rng = prng::SplitMix64Source(4)]() mutable { return s.sample(rng); };
   });
   if (ct::CompiledKernel::is_available()) {
     run("bitsliced_ct_compiled", [&] {
-      return [s = ct::BufferedCompiledSampler(synth),
+      return [s = ct::BufferedSampler(
+                  synth,
+                  ct::load_or_compile_kernel(ct::KernelSource(synth)).kernel),
               rng = prng::SplitMix64Source(7)]() mutable {
         return s.sample(rng);
       };

@@ -26,7 +26,7 @@
 
 #include "bench_util.h"
 #include "conv/convolution.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "engine/service.h"
 #include "gauss/probmatrix.h"
 #include "prng/chacha20.h"
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const double synth_ms = ms_since(t0);
 
   // 2. Scalar baseline: one stream, two scalar draws + combine per sample.
-  ct::BufferedBitslicedSampler base(*synth);
+  ct::BufferedSampler base(*synth);
   conv::ConvolutionSampler scalar(base, recipe.k);
   prng::ChaCha20Source rng(2019);
   t0 = Clock::now();

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
 #include "engine/engine.h"
 #include "engine/registry.h"
@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
   };
   std::vector<ThroughputRow> rows;
   for (engine::Backend backend :
-       {engine::Backend::kCompiled, engine::Backend::kWide,
-        engine::Backend::kBitsliced}) {
+       {engine::Backend::kCompiled, engine::Backend::kWide}) {
     if (backend == engine::Backend::kCompiled &&
         !ct::CompiledKernel::is_available()) {
       std::printf("%-14s %21s\n", engine::backend_name(backend),

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/chacha20.h"
 #include "stats/chisquare.h"
 
@@ -24,7 +24,7 @@ void run(const char* label, const gauss::GaussianParams& params,
   stats::Histogram h;
   std::int32_t batch[64];
   for (std::uint64_t it = 0; it < batches; ++it) {
-    const std::uint64_t valid = sampler.sample_batch(rng, batch);
+    const std::uint64_t valid = sampler.sample_batch(rng, batch)[0];
     for (int lane = 0; lane < 64; ++lane)
       if ((valid >> lane) & 1u) h.add(batch[lane]);
   }

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/chacha20.h"
 #include "prng/keccak.h"
 #include "prng/splitmix.h"

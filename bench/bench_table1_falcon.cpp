@@ -27,7 +27,7 @@
 
 #include "bench_util.h"
 #include "cdt/cdt_samplers.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
 #include "engine/registry.h"
 #include "falcon/sign.h"
@@ -62,7 +62,7 @@ std::vector<SamplerEntry> make_samplers(const gauss::ProbMatrix& matrix,
   // registry: synthesized once ever, warm-loaded afterwards.
   const auto synth = engine::SamplerRegistry::global().get(matrix.params());
   v.push_back({"this work, scalar   (CT)    ", "bitsliced_scalar",
-               std::make_unique<ct::BufferedBitslicedSampler>(*synth)});
+               std::make_unique<ct::BufferedSampler>(*synth)});
   return v;
 }
 

@@ -17,9 +17,10 @@
 
 #include "bench_util.h"
 #include "common/cycles.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
 #include "ct/flat_baseline.h"
+#include "ct/kernel_cache.h"
 #include "prng/splitmix.h"
 
 namespace {
@@ -88,8 +89,12 @@ void run_sigma(const char* label, const gauss::GaussianParams& params,
   if (ct::CompiledKernel::is_available()) {
     // The paper's numbers are for compiled generated C — this row is the
     // faithful comparison.
-    ct::CompiledBitslicedSampler csplit(ct::synthesize(matrix, {}));
-    ct::CompiledBitslicedSampler cflat(ct::synthesize_flat(matrix, {}));
+    const auto compiled = [](ct::SynthesizedSampler s) {
+      auto kernel = ct::load_or_compile_kernel(ct::KernelSource(s)).kernel;
+      return ct::BitslicedSampler(std::move(s), std::move(kernel));
+    };
+    ct::BitslicedSampler csplit = compiled(ct::synthesize(matrix, {}));
+    ct::BitslicedSampler cflat = compiled(ct::synthesize_flat(matrix, {}));
     const double flat_c = median_batch_cycles(cflat);
     const double split_c = median_batch_cycles(csplit);
     std::printf("%-9s %-12s %14.0f %14.0f %12.1f%%\n", label, "compiled",

@@ -10,7 +10,7 @@
 #include <string_view>
 #include <vector>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "engine/registry.h"
 #include "falcon/codec.h"
 #include "falcon/sign.h"
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   std::printf("\n== sign with the constant-time bit-sliced sampler ==\n");
   // Registry, not synthesize(): the base sampler is warm-loaded from the
   // on-disk cache after the first ever run on this machine.
-  ct::BufferedBitslicedSampler base(*engine::SamplerRegistry::global().get(
+  ct::BufferedSampler base(*engine::SamplerRegistry::global().get(
       gauss::GaussianParams::sigma_2(128)));
   falcon::Signer signer(kp, base);
   falcon::SignStats sstats;

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "conv/convolution.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/chacha20.h"
 #include "stats/chisquare.h"
 
@@ -25,7 +25,7 @@ int main() {
               base_params.sigma(), k, sigma, target);
 
   const gauss::ProbMatrix matrix(base_params);
-  ct::BufferedBitslicedSampler base(ct::synthesize(matrix, {}));
+  ct::BufferedSampler base(ct::synthesize(matrix, {}));
   conv::ConvolutionSampler sampler(base, k);
   std::printf("constant-time: %s (inherited from the base sampler)\n",
               sampler.constant_time() ? "yes" : "no");

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "engine/engine.h"
 #include "engine/registry.h"
 #include "prng/chacha20.h"
@@ -44,7 +44,7 @@ int main() {
   double sum = 0, sum_sq = 0;
   std::int32_t batch[64];
   for (int it = 0; it < 10000; ++it) {
-    const std::uint64_t valid = sampler.sample_batch(rng, batch);
+    const std::uint64_t valid = sampler.sample_batch(rng, batch)[0];
     for (int lane = 0; lane < 64; ++lane) {
       if (!((valid >> lane) & 1u)) continue;  // ~never at 128-bit precision
       ++count;

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "cdt/cdt_samplers.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/splitmix.h"
 #include "stats/dudect.h"
 

@@ -61,35 +61,13 @@ std::string Netlist::stats() const {
   return os.str();
 }
 
-void Netlist::eval(std::span<const std::uint64_t> inputs,
-                   std::span<std::uint64_t> outputs) const {
-  CGS_CHECK(inputs.size() == static_cast<std::size_t>(num_inputs_));
-  CGS_CHECK(outputs.size() == outputs_.size());
-  scratch_.resize(nodes_.size());
-  std::uint64_t* v = scratch_.data();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    switch (n.op) {
-      case Op::kConst0: v[i] = 0; break;
-      case Op::kConst1: v[i] = ~std::uint64_t(0); break;
-      case Op::kInput:  v[i] = inputs[static_cast<std::size_t>(n.a)]; break;
-      case Op::kNot:    v[i] = ~v[n.a]; break;
-      case Op::kAnd:    v[i] = v[n.a] & v[n.b]; break;
-      case Op::kOr:     v[i] = v[n.a] | v[n.b]; break;
-      case Op::kXor:    v[i] = v[n.a] ^ v[n.b]; break;
-    }
-  }
-  for (std::size_t o = 0; o < outputs_.size(); ++o)
-    outputs[o] = v[outputs_[o]];
-}
-
 std::vector<int> Netlist::eval_bits(const std::vector<int>& input_bits) const {
   CGS_CHECK(input_bits.size() == static_cast<std::size_t>(num_inputs_));
   std::vector<std::uint64_t> in(input_bits.size());
   for (std::size_t i = 0; i < in.size(); ++i)
     in[i] = input_bits[i] ? ~std::uint64_t(0) : 0;
-  std::vector<std::uint64_t> out(outputs_.size());
-  eval(in, out);
+  std::vector<std::uint64_t> out(outputs_.size()), scratch(nodes_.size());
+  eval(in.data(), out.data(), scratch.data());
   std::vector<int> bits(out.size());
   for (std::size_t i = 0; i < out.size(); ++i) bits[i] = out[i] & 1u;
   return bits;

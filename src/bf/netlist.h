@@ -6,7 +6,6 @@
 // construction; the dudect harness confirms it empirically.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,16 +41,14 @@ class Netlist {
   std::size_t op_count() const;
   std::string stats() const;
 
-  /// Evaluate 64 lanes at once. `inputs.size() == num_inputs()`,
-  /// `outputs.size() == outputs().size()`.
-  void eval(std::span<const std::uint64_t> inputs,
-            std::span<std::uint64_t> outputs) const;
-
-  /// Generic-width evaluation: T is any type with ~ & | ^ (e.g. a GCC
-  /// vector extension for 256-wide batches). Caller provides scratch of
-  /// nodes().size() elements to keep this allocation-free.
+  /// Evaluate every lane of the word type T at once: std::uint64_t for 64
+  /// lanes, or any type with ~ & | ^ (e.g. a GCC vector extension for
+  /// 256-lane batches). `inputs` holds num_inputs() words, `outputs`
+  /// outputs().size(); the caller provides `scratch` of nodes().size()
+  /// words, so evaluation is allocation-free and concurrent calls on one
+  /// netlist never share state.
   template <typename T>
-  void eval_wide(const T* inputs, T* outputs, T* scratch) const {
+  void eval(const T* inputs, T* outputs, T* scratch) const {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const Node& n = nodes_[i];
       switch (n.op) {
@@ -76,7 +73,6 @@ class Netlist {
   int num_inputs_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::int32_t> outputs_;
-  mutable std::vector<std::uint64_t> scratch_;  // reused eval buffer
 };
 
 /// Builds netlists with structural hashing (CSE): identical (op, a, b)

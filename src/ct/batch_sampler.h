@@ -1,0 +1,122 @@
+#pragma once
+// The runtime half of the paper: feed W lanes of random bits through the
+// synthesized netlist, unpack W magnitude samples per batch, fold in one
+// sign word per 64 lanes. One netlist input word per precision bit; lane i
+// of input word k is path bit b_k of sample i.
+//
+// The lane word is the template parameter: std::uint64_t is the paper's
+// 64-lane word, Word256 a GCC vector of four (256 lanes; AVX2 where
+// available, SSE pairs otherwise). The evaluator is picked at construction:
+// the interpreted netlist, or the compiled kernel's entry point for that
+// width. Everything around the evaluation — the lane unpack, the sign fold,
+// the valid mask and the compaction of valid lanes — exists once, here.
+
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "common/sampler.h"
+#include "ct/compiled_sampler.h"
+#include "ct/synthesis.h"
+
+namespace cgs::ct {
+
+/// Four 64-bit lane groups per word; group g of input word k holds path
+/// bit k of samples 64g..64g+63 — in the flat uint64 layout the runner and
+/// the compiled 256-lane kernel use, word g of bit k sits at index 4k + g.
+using Word256 = std::uint64_t __attribute__((vector_size(32)));
+
+/// Spreads the 8 bits of byte `b` one per byte (bit i -> byte i, value 0
+/// or 1), arithmetically: no table, so no load indexed by sample bits.
+constexpr std::uint64_t spread_byte(std::uint64_t b) {
+  const std::uint64_t kept =
+      (b * 0x0101010101010101ull) & 0x8040201008040201ull;
+  return ((kept + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
+}
+
+/// Lane transpose of one 64-lane group: plane k (`planes[k * stride]`)
+/// holds bit k of every lane; writes the 64 m-bit lane values to `out`.
+/// For m <= 8 eight lanes unpack at once as the bytes of one word.
+void unpack_lanes(const std::uint64_t* planes, std::size_t stride, int m,
+                  std::uint32_t* out);
+
+template <typename Word>
+class BatchSampler {
+ public:
+  static constexpr int kGroups = sizeof(Word) / sizeof(std::uint64_t);
+  static constexpr int kBatch = 64 * kGroups;
+  /// Bit i of mask[g] is set iff lane 64g + i hit a DDG leaf (~always
+  /// all-ones at cryptographic precision).
+  using Mask = std::array<std::uint64_t, kGroups>;
+
+  /// Evaluates the netlist interpreted.
+  explicit BatchSampler(SynthesizedSampler synth);
+  /// Runs `kernel`'s entry point for kBatch lanes. The kernel must have
+  /// been built from an identical netlist and carry that entry point.
+  BatchSampler(SynthesizedSampler synth,
+               std::shared_ptr<const CompiledKernel> kernel);
+
+  const SynthesizedSampler& synth() const { return synth_; }
+  bool compiled() const { return kernel_ != nullptr; }
+
+  /// Random words consumed per batch: kGroups per precision bit plus
+  /// kGroups sign words.
+  int words_per_batch() const { return kGroups * (synth_.precision + 1); }
+
+  /// One batch of magnitudes; `out` must hold kBatch entries.
+  Mask sample_magnitudes(RandomBitSource& rng, std::span<std::uint32_t> out);
+
+  /// One batch of signed samples: the magnitudes, then one sign word per
+  /// lane group.
+  Mask sample_batch(RandomBitSource& rng, std::span<std::int32_t> out);
+
+  /// Fills `out` with the valid lanes of as many batches as it takes; the
+  /// rest of the last batch is dropped.
+  void fill(RandomBitSource& rng, std::span<std::int32_t> out);
+
+ private:
+  void eval();
+
+  SynthesizedSampler synth_;
+  std::shared_ptr<const CompiledKernel> kernel_;  // null: interpreted
+  CompiledKernel::Fn fn_ = nullptr;
+  // Flat lane words, kGroups per netlist bit (see Word256).
+  std::vector<std::uint64_t> in_, out_;
+  // Interpreter only: one Word per node, then the inputs and outputs.
+  std::vector<Word> scratch_;
+};
+
+extern template class BatchSampler<std::uint64_t>;
+extern template class BatchSampler<Word256>;
+
+using BitslicedSampler = BatchSampler<std::uint64_t>;
+using WideBitslicedSampler = BatchSampler<Word256>;
+
+/// IntSampler over the 64-lane runner: batches internally and serves one
+/// sample at a time, dropping invalid lanes (a restart, exactly like the
+/// reference sampler). Table 1's "this work" row.
+class BufferedSampler final : public IntSampler {
+ public:
+  explicit BufferedSampler(SynthesizedSampler synth)
+      : core_(std::move(synth)) {}
+  BufferedSampler(SynthesizedSampler synth,
+                  std::shared_ptr<const CompiledKernel> kernel)
+      : core_(std::move(synth), std::move(kernel)) {}
+
+  std::int32_t sample(RandomBitSource& rng) override;
+  std::uint32_t sample_magnitude(RandomBitSource& rng) override;
+  const char* name() const override {
+    return core_.compiled() ? "bitsliced-ct-compiled"
+                            : "bitsliced-ct(this work)";
+  }
+  bool constant_time() const override { return true; }
+
+ private:
+  BitslicedSampler core_;
+  std::array<std::int32_t, BitslicedSampler::kBatch> buf_{};
+  std::size_t pos_ = BitslicedSampler::kBatch;
+};
+
+}  // namespace cgs::ct

@@ -1,14 +1,8 @@
 #pragma once
-// IntSampler / BlockSource adapters: the Alg.1 reference sampler behind the
-// common interface, plus a single-stream block source over the 64-lane
-// bit-sliced core for contexts that want batch refills without spinning up
-// a SamplerEngine.
+// The Alg.1 reference sampler behind the common IntSampler interface (the
+// bit-sliced samplers' adapter is ct::BufferedSampler, ct/batch_sampler.h).
 
-#include <memory>
-
-#include "common/blocksource.h"
 #include "common/sampler.h"
-#include "ct/bitsliced_sampler.h"
 #include "ddg/kysampler.h"
 
 namespace cgs::ct {
@@ -31,30 +25,6 @@ class ReferenceKySampler final : public IntSampler {
 
  private:
   ddg::KnuthYaoSampler sampler_;
-};
-
-/// BlockSource over one interpreted 64-lane bit-sliced core: each base
-/// refill runs ceil(n/64) netlist passes and compacts the valid lanes,
-/// exactly like an engine worker but single-stream and allocation-light.
-/// `rng` (not owned) feeds both the netlist path bits and the word supply.
-class BitslicedBlockSource final : public BlockSource {
- public:
-  BitslicedBlockSource(SynthesizedSampler synth, RandomBitSource& rng)
-      : core_(std::move(synth)), rng_(&rng) {}
-
-  void fill_base(std::span<std::int32_t> out) override;
-  void fill_words(std::span<std::uint64_t> out) override {
-    rng_->fill_words(out);
-  }
-  std::size_t preferred_block() const override {
-    return 8 * BitslicedSampler::kBatch;
-  }
-  const char* name() const override { return "bitsliced-block"; }
-  bool constant_time() const override { return true; }
-
- private:
-  BitslicedSampler core_;
-  RandomBitSource* rng_;
 };
 
 }  // namespace cgs::ct

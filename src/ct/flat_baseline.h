@@ -19,7 +19,7 @@ struct FlatConfig {
   bool emit_valid_bit = true;
 };
 
-/// Build the flat sampler; the result plugs into the same BitslicedSampler.
+/// Build the flat sampler; the result plugs into the same BatchSampler.
 SynthesizedSampler synthesize_flat(const gauss::ProbMatrix& matrix,
                                    const FlatConfig& config = {});
 

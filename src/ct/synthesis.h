@@ -8,7 +8,7 @@
 //              --> straight-line Netlist (the constant-time sampler core)
 //
 // The result is data, not code: evaluate it 64 lanes at a time through
-// Netlist::eval (see BitslicedSampler), or emit it as C via bf::emit_c.
+// Netlist::eval (see BatchSampler), or emit it as C via bf::emit_c.
 
 #include <cstddef>
 #include <string>

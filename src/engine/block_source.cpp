@@ -23,7 +23,6 @@ const char* EngineBlockSource::name() const {
   switch (engine_->backend()) {
     case Backend::kCompiled: return "engine(compiled)";
     case Backend::kWide: return "engine(wide-256)";
-    case Backend::kBitsliced: return "engine(bitsliced-64)";
     case Backend::kAuto: break;
   }
   return "engine";

@@ -1,22 +1,19 @@
 #pragma once
 // SamplerEngine: the online half of the offline/online split — a batch
-// sampling service over one synthesized netlist. Auto-selection picks the
-// fastest runtime backend available on this machine: the CompiledKernel
-// (netlist emitted as C, host-compiled with -march=native when the flag
-// exists; runs the 256-lane vector form when the host compiler accepts
-// it, else the 64-lane symbol) when a host compiler exists, else the
-// 256-lane WideBitslicedSampler (GCC vector extensions, always available
-// on the gcc/clang toolchains this library targets). The 64-lane
-// interpreted BitslicedSampler remains explicitly selectable for
-// comparison runs. Bulk requests are served from N worker
-// threads. Each worker owns an
-// independent ChaCha20 stream whose key is derived from the engine's root
-// seed and the worker index (SplitMix64 mixing), so output is fully
-// deterministic for a fixed (root_seed, num_threads, request size) and no
-// two workers ever share PRNG state. The compiled kernel is loaded once and
-// shared by all workers (its eval is stateless) — from the registry's
-// per-machine kernel cache when EngineOptions::registry is set; the
-// interpreted backends are instantiated per worker.
+// sampling service over one synthesized netlist. Every worker runs the one
+// 256-lane runner (ct::BatchSampler<Word256>) with the fastest evaluator
+// available on this machine: compiled ▸ interpreted. Compiled is the
+// CompiledKernel's 256-lane entry point (the netlist emitted as C and
+// host-compiled, with -march=native when the flag exists); a host without
+// a compiler, or whose compiler rejects GCC vector extensions, gets the
+// interpreted netlist on the same 256-lane word. Bulk requests are served
+// from N worker threads. Each worker owns an independent ChaCha20 stream
+// whose key is derived from the engine's root seed and the worker index
+// (SplitMix64 mixing), so output is fully deterministic for a fixed
+// (root_seed, num_threads, request size), no two workers ever share PRNG
+// state, and both evaluators emit the same stream. The compiled kernel is
+// loaded once and shared by all workers (its eval is stateless) — from the
+// registry's per-machine kernel cache when EngineOptions::registry is set.
 
 #include <atomic>
 #include <condition_variable>
@@ -40,10 +37,9 @@ namespace cgs::engine {
 class SamplerRegistry;
 
 enum class Backend {
-  kAuto,       // pick the fastest available at construction
-  kCompiled,   // host-compiled netlist kernel (throws if unavailable)
-  kWide,       // 256-lane vector-extension interpreter
-  kBitsliced,  // 64-lane word interpreter
+  kAuto,      // pick the fastest available at construction
+  kCompiled,  // host-compiled 256-lane kernel (throws if unavailable)
+  kWide,      // 256-lane interpreted netlist
 };
 
 const char* backend_name(Backend b);

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 
 #include "bf/codegen.h"
 #include "bf/espresso_lite.h"
 #include "bf/netlist.h"
 #include "bf/quine_mccluskey.h"
+#include "ct/synthesis.h"
+#include "gauss/probmatrix.h"
 
 namespace cgs::bf {
 namespace {
@@ -255,9 +258,47 @@ TEST(Netlist, BitslicedLanesAreIndependent) {
   const Netlist nl = b.take();
   std::vector<std::uint64_t> in = {0xF0F0F0F0F0F0F0F0ull,
                                    0xFF00FF00FF00FF00ull};
-  std::vector<std::uint64_t> out(1);
-  nl.eval(in, out);
+  std::vector<std::uint64_t> out(1), scratch(nl.nodes().size());
+  nl.eval(in.data(), out.data(), scratch.data());
   EXPECT_EQ(out[0], 0xF000F000F000F000ull);
+}
+
+TEST(Netlist, ConcurrentEvalOnSharedNetlistMatchesSerial) {
+  // eval is const, and the registry hands one synthesized netlist to many
+  // threads: concurrent evaluations must not share any buffer. Each thread
+  // replays its own input stream against answers computed serially.
+  const ct::SynthesizedSampler synth = ct::synthesize(
+      gauss::ProbMatrix(gauss::GaussianParams::sigma_2(64)), {});
+  const Netlist& nl = synth.netlist;
+  constexpr int kThreads = 2;
+  constexpr int kEvals = 20000;
+  const auto inputs = [&](std::mt19937_64& rng) {
+    const std::uint64_t w = rng();
+    std::vector<int> bits(static_cast<std::size_t>(nl.num_inputs()));
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (w >> i) & 1u;
+    return bits;
+  };
+
+  std::vector<std::vector<std::vector<int>>> serial(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+    for (int i = 0; i < kEvals; ++i)
+      serial[static_cast<std::size_t>(t)].push_back(nl.eval_bits(inputs(rng)));
+  }
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 1);
+      const auto& expect = serial[static_cast<std::size_t>(t)];
+      for (int i = 0; i < kEvals; ++i)
+        mismatches[static_cast<std::size_t>(t)] +=
+            nl.eval_bits(inputs(rng)) != expect[static_cast<std::size_t>(i)];
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
 }
 
 TEST(Codegen, EmitsCompilableLookingC) {

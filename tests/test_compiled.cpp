@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
+#include "ct/kernel_cache.h"
 #include "prng/chacha20.h"
 
 namespace cgs::ct {
 namespace {
+
+std::shared_ptr<const CompiledKernel> private_kernel(
+    const SynthesizedSampler& synth) {
+  return load_or_compile_kernel(KernelSource(synth)).kernel;
+}
 
 class CompiledVsInterpreted : public ::testing::TestWithParam<int> {};
 
@@ -20,8 +26,9 @@ TEST_P(CompiledVsInterpreted, IdenticalBatches) {
                          ? gauss::GaussianParams::sigma_1(64)
                          : gauss::GaussianParams::sigma_6_15543(128);
   const gauss::ProbMatrix m(params);
-  BitslicedSampler interp(synthesize(m, {}));
-  CompiledBitslicedSampler comp(synthesize(m, {}));
+  const SynthesizedSampler synth = synthesize(m, {});
+  BitslicedSampler interp(synth);
+  BitslicedSampler comp(synth, private_kernel(synth));
   prng::ChaCha20Source rng_a(9), rng_b(9);
   std::int32_t a[64], b[64];
   for (int batch = 0; batch < 30; ++batch) {
@@ -38,7 +45,9 @@ INSTANTIATE_TEST_SUITE_P(Params, CompiledVsInterpreted,
 TEST(BufferedCompiled, ServesSamples) {
   if (!CompiledKernel::is_available()) GTEST_SKIP();
   const gauss::ProbMatrix m(gauss::GaussianParams::sigma_2(128));
-  BufferedCompiledSampler s(synthesize(m, {}));
+  const SynthesizedSampler synth = synthesize(m, {});
+  BufferedSampler s(synth, private_kernel(synth));
+  EXPECT_STREQ(s.name(), "bitsliced-ct-compiled");
   prng::ChaCha20Source rng(4);
   double sum_sq = 0;
   const int k = 20000;

@@ -18,7 +18,9 @@
 #include "cdt/cdt_samplers.h"
 #include "common/bits.h"
 #include "conv/convolution.h"
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
+#include "ct/compiled_sampler.h"
+#include "ct/kernel_cache.h"
 #include "prng/splitmix.h"
 #include "stats/dudect.h"
 
@@ -158,6 +160,22 @@ TEST_F(TimingFixture, BitslicedSamplerFlat) {
       [&](int cls) { (void)s.sample_magnitudes(source_for(cls), out); },
       {.measurements = 8000, .warmup = 500, .keep_percentile = 0.9});
   // Structurally constant-time; allow slack for measurement noise.
+  EXPECT_LT(std::fabs(r.t), 30.0) << r.describe();
+}
+
+TEST_F(TimingFixture, CompiledWideRunnerFlat) {
+  // The engine's production path: the compiled 256-lane kernel plus the
+  // table-free byte-parallel unpack (magnitudes fit a byte at sigma = 2).
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  const ct::SynthesizedSampler synth = ct::synthesize(matrix_, {});
+  auto kernel = ct::load_or_compile_kernel(ct::KernelSource(synth)).kernel;
+  if (!kernel->has_wide()) GTEST_SKIP() << "kernel has no 256-lane form";
+  ct::WideBitslicedSampler s(synth, std::move(kernel));
+  ASSERT_LE(synth.num_output_bits, 8);
+  std::uint32_t out[256];
+  const auto r = stats::dudect(
+      [&](int cls) { (void)s.sample_magnitudes(source_for(cls), out); },
+      {.measurements = 8000, .warmup = 500, .keep_percentile = 0.9});
   EXPECT_LT(std::fabs(r.t), 30.0) << r.describe();
 }
 

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <set>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/flat_baseline.h"
 #include "ct/synthesis.h"
 #include "ddg/kysampler.h"
@@ -216,7 +216,7 @@ TEST(BitslicedSampler, ChiSquareAgainstMatrix) {
   stats::Histogram h;
   std::int32_t batch[64];
   for (int it = 0; it < 6000; ++it) {
-    const std::uint64_t valid = s.sample_batch(rng, batch);
+    const std::uint64_t valid = s.sample_batch(rng, batch)[0];
     for (int lane = 0; lane < 64; ++lane)
       if ((valid >> lane) & 1u) h.add(batch[lane]);
   }
@@ -230,7 +230,7 @@ TEST(BitslicedSampler, ValidMaskAllOnesAtCryptoPrecision) {
   prng::ChaCha20Source rng(13);
   std::uint32_t mags[64];
   for (int it = 0; it < 200; ++it)
-    EXPECT_EQ(s.sample_magnitudes(rng, mags), ~std::uint64_t(0));
+    EXPECT_EQ(s.sample_magnitudes(rng, mags)[0], ~std::uint64_t(0));
 }
 
 TEST(BitslicedSampler, WordsPerBatchAccounting) {
@@ -239,9 +239,85 @@ TEST(BitslicedSampler, WordsPerBatchAccounting) {
   EXPECT_EQ(s.words_per_batch(), 129);  // n + sign word
 }
 
+TEST(BitslicedSampler, BatchesMatchGoldenDigest) {
+  // Pins the 64-lane stream — word order, unpack, sign fold, valid mask —
+  // to FNV-1a over 30 batches (each mask word, then its 64 samples, little
+  // endian) for a fixed seed.
+  BitslicedSampler s(
+      synthesize(gauss::ProbMatrix(gauss::GaussianParams::sigma_2(64)), {}));
+  prng::ChaCha20Source rng(9);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  std::int32_t batch[64];
+  for (int it = 0; it < 30; ++it) {
+    mix(s.sample_batch(rng, batch)[0], 8);
+    for (std::int32_t v : batch) mix(static_cast<std::uint32_t>(v), 4);
+  }
+  EXPECT_EQ(h, 0xfb3b0adbc6167abbull);
+}
+
+// The per-lane transpose the byte-parallel unpack must reproduce.
+void unpack_reference(const std::uint64_t* planes, int m,
+                      std::uint32_t* out) {
+  for (int lane = 0; lane < 64; ++lane) {
+    std::uint32_t v = 0;
+    for (int k = 0; k < m; ++k)
+      v |= static_cast<std::uint32_t>((planes[k] >> lane) & 1u) << k;
+    out[lane] = v;
+  }
+}
+
+TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
+  for (std::uint64_t b = 0; b < 256; ++b)
+    for (int i = 0; i < 8; ++i)
+      ASSERT_EQ((spread_byte(b) >> (8 * i)) & 0xff, (b >> i) & 1u) << b;
+
+  // Every byte value in every byte of every plane, at every m <= 8.
+  std::uint32_t got[64], want[64];
+  for (int m = 1; m <= 8; ++m) {
+    for (std::uint64_t b = 0; b < 256; ++b) {
+      std::uint64_t planes[8];
+      for (int k = 0; k < m; ++k) {
+        planes[k] = 0;
+        for (int byte = 0; byte < 8; ++byte)
+          planes[k] |= ((b + 37 * static_cast<std::uint64_t>(k) +
+                         101 * static_cast<std::uint64_t>(byte)) &
+                        0xff)
+                       << (8 * byte);
+      }
+      unpack_lanes(planes, 1, m, got);
+      unpack_reference(planes, m, want);
+      for (int lane = 0; lane < 64; ++lane)
+        ASSERT_EQ(got[lane], want[lane]) << "m=" << m << " b=" << b;
+    }
+  }
+
+  // Wider magnitudes take the per-lane path; strided planes as in a
+  // 256-lane word.
+  prng::SplitMix64Source rng(5);
+  for (int m : {9, 12}) {
+    for (int it = 0; it < 100; ++it) {
+      std::uint64_t planes[4 * 12], group[12];
+      for (auto& w : planes) w = rng.next_word();
+      for (int g = 0; g < 4; ++g) {
+        for (int k = 0; k < m; ++k) group[k] = planes[4 * k + g];
+        unpack_lanes(planes + g, 4, m, got);
+        unpack_reference(group, m, want);
+        for (int lane = 0; lane < 64; ++lane)
+          ASSERT_EQ(got[lane], want[lane]) << "m=" << m << " g=" << g;
+      }
+    }
+  }
+}
+
 TEST(BufferedSampler, ServesIndividualSamples) {
   const gauss::ProbMatrix m(gauss::GaussianParams::sigma_2(64));
-  BufferedBitslicedSampler s(synthesize(m, {}));
+  BufferedSampler s(synthesize(m, {}));
   prng::SplitMix64Source rng(17);
   double sum_sq = 0;
   const int k = 20000;
@@ -251,6 +327,7 @@ TEST(BufferedSampler, ServesIndividualSamples) {
   }
   EXPECT_NEAR(sum_sq / k, 4.0, 0.2);
   EXPECT_TRUE(s.constant_time());
+  EXPECT_STREQ(s.name(), "bitsliced-ct(this work)");
 }
 
 TEST(Synthesis, StatsAreFilled) {

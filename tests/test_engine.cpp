@@ -12,7 +12,7 @@
 #include <fstream>
 #include <thread>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
 #include "ct/kernel_cache.h"
 #include "engine/engine.h"
@@ -232,21 +232,20 @@ KernelStreams kernel_streams(
   const ct::SynthesizedSampler& synth = *small_synth();
   KernelStreams s;
   std::int32_t batch[256];
-  ct::CompiledBitslicedSampler narrow(synth, kernel);
+  ct::BitslicedSampler narrow(synth, kernel);
   prng::ChaCha20Source rng_narrow(7);
   for (int it = 0; it < 16; ++it) {
-    s.narrow_valid.push_back(narrow.sample_batch(rng_narrow, batch));
+    s.narrow_valid.push_back(narrow.sample_batch(rng_narrow, batch)[0]);
     s.narrow.insert(s.narrow.end(), batch, batch + 64);
   }
   EXPECT_TRUE(kernel->has_wide());
   if (!kernel->has_wide()) return s;
-  ct::WideCompiledSampler wide(synth, kernel);
+  ct::WideBitslicedSampler wide(synth, kernel);
   prng::ChaCha20Source rng_wide(7);
-  std::uint64_t mask[4];
   for (int it = 0; it < 16; ++it) {
-    wide.sample_batch(rng_wide, batch, mask);
+    const auto mask = wide.sample_batch(rng_wide, batch);
     s.wide.insert(s.wide.end(), batch, batch + 256);
-    s.wide_valid.insert(s.wide_valid.end(), mask, mask + 4);
+    s.wide_valid.insert(s.wide_valid.end(), mask.begin(), mask.end());
   }
   return s;
 }
@@ -487,8 +486,28 @@ TEST_P(EngineBackends, StatisticalSanityAndDeterminism) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, EngineBackends,
-                         ::testing::Values(Backend::kCompiled, Backend::kWide,
-                                           Backend::kBitsliced));
+                         ::testing::Values(Backend::kCompiled, Backend::kWide));
+
+TEST(Engine, StreamsMatchGoldenDigests) {
+  // Pins the first 100,000 samples of a two-worker engine for a fixed seed
+  // to FNV-1a over their little-endian bytes, on both evaluators: the word
+  // order, unpack, sign fold and compaction may not change a sample.
+  SamplerRegistry reg({.cache_dir = fresh_dir("golden"), .use_disk = false});
+  auto synth = reg.get(test_params());
+  for (const Backend backend : {Backend::kWide, Backend::kCompiled}) {
+    if (backend == Backend::kCompiled && !ct::CompiledKernel::is_available())
+      continue;
+    SamplerEngine engine(
+        synth, {.backend = backend, .num_threads = 2, .root_seed = 20260});
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::int32_t v : engine.sample(100000))
+      for (int i = 0; i < 4; ++i) {
+        h ^= (static_cast<std::uint32_t>(v) >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    EXPECT_EQ(h, 0xacd48e2909d29eebull) << backend_name(backend);
+  }
+}
 
 TEST(Engine, AutoSelectsSomeRealBackend) {
   SamplerRegistry reg({.cache_dir = fresh_dir("auto"), .use_disk = false});
@@ -503,7 +522,7 @@ TEST(Engine, AutoSelectsSomeRealBackend) {
 TEST(Engine, SmallAndUnevenRequests) {
   SamplerRegistry reg({.cache_dir = fresh_dir("small"), .use_disk = false});
   auto synth = reg.get(test_params());
-  SamplerEngine engine(synth, {.backend = Backend::kBitsliced,
+  SamplerEngine engine(synth, {.backend = Backend::kWide,
                                .num_threads = 4, .root_seed = 11});
   EXPECT_TRUE(engine.sample(0).empty());
   EXPECT_EQ(engine.sample(1).size(), 1u);   // below one batch: inline path
@@ -514,7 +533,7 @@ TEST(Engine, SmallAndUnevenRequests) {
 TEST(Engine, ConcurrentBulkCallsAreSerializedSafely) {
   SamplerRegistry reg({.cache_dir = fresh_dir("conc"), .use_disk = false});
   auto synth = reg.get(test_params());
-  SamplerEngine engine(synth, {.backend = Backend::kBitsliced,
+  SamplerEngine engine(synth, {.backend = Backend::kWide,
                                .num_threads = 2, .root_seed = 3});
   std::vector<std::thread> callers;
   std::vector<std::vector<std::int32_t>> results(4);

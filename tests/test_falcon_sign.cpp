@@ -7,8 +7,7 @@
 #include <random>
 
 #include "cdt/cdt_samplers.h"
-#include "ct/bitsliced_sampler.h"
-#include "ct/buffered.h"
+#include "ct/batch_sampler.h"
 #include "falcon/codec.h"
 #include "falcon/sign.h"
 #include "falcon/verify.h"
@@ -45,7 +44,7 @@ class SignWithEachSampler : public ::testing::TestWithParam<int> {
       case 1: return std::make_unique<cdt::CdtBinarySearchSampler>(f.table);
       case 2: return std::make_unique<cdt::CdtLinearCtSampler>(f.table);
       default:
-        return std::make_unique<ct::BufferedBitslicedSampler>(
+        return std::make_unique<ct::BufferedSampler>(
             ct::synthesize(f.matrix, {}));
     }
   }

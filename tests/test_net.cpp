@@ -741,11 +741,11 @@ const falcon::KeyPair& wire_key() {
 
 serve::DispatcherOptions router_options() {
   serve::DispatcherOptions opts;
-  opts.signing.backend = engine::Backend::kBitsliced;
+  opts.signing.backend = engine::Backend::kWide;
   opts.signing.num_threads = 2;
   opts.signing.precision = 64;
   opts.signing.root_seed = 7;
-  opts.gaussian.backend = engine::Backend::kBitsliced;
+  opts.gaussian.backend = engine::Backend::kWide;
   opts.gaussian.num_threads = 1;
   opts.gaussian.root_seed = 7;
   opts.max_linger_us = 20'000;

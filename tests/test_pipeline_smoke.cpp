@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "ct/flat_baseline.h"
 #include "ct/synthesis.h"
 #include "ddg/kysampler.h"
@@ -41,7 +41,7 @@ TEST(PipelineSmoke, BitslicedMatchesReferenceDistribution) {
   stats::Histogram h;
   std::int32_t batch[64];
   for (int it = 0; it < 4000; ++it) {
-    const std::uint64_t valid = sampler.sample_batch(rng, batch);
+    const std::uint64_t valid = sampler.sample_batch(rng, batch)[0];
     for (int lane = 0; lane < 64; ++lane)
       if ((valid >> lane) & 1u) h.add(batch[lane]);
   }

@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "ct/bitsliced_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/chacha20.h"
 #include "serial/formats.h"
 #include "serial/serial.h"
@@ -128,10 +128,11 @@ TEST(NetlistSerial, RoundTripIsByteStable) {
   std::vector<std::uint64_t> in(static_cast<std::size_t>(back.num_inputs()));
   std::vector<std::uint64_t> out_a(back.outputs().size());
   std::vector<std::uint64_t> out_b(back.outputs().size());
+  std::vector<std::uint64_t> scratch(back.nodes().size());
   for (int it = 0; it < 50; ++it) {
     rng.fill_words(in);
-    synth.netlist.eval(in, out_a);
-    back.eval(in, out_b);
+    synth.netlist.eval(in.data(), out_a.data(), scratch.data());
+    back.eval(in.data(), out_b.data(), scratch.data());
     ASSERT_EQ(out_a, out_b) << "iteration " << it;
   }
 }
@@ -192,8 +193,8 @@ TEST(SamplerSerial, RoundTrippedSamplerIsBitIdentical) {
   prng::ChaCha20Source rng_a(2019), rng_b(2019);
   std::int32_t batch_a[64], batch_b[64];
   for (int it = 0; it < 200; ++it) {
-    const std::uint64_t va = a.sample_batch(rng_a, batch_a);
-    const std::uint64_t vb = b.sample_batch(rng_b, batch_b);
+    const auto va = a.sample_batch(rng_a, batch_a);
+    const auto vb = b.sample_batch(rng_b, batch_b);
     ASSERT_EQ(va, vb);
     for (int lane = 0; lane < 64; ++lane)
       ASSERT_EQ(batch_a[lane], batch_b[lane]) << it << ":" << lane;

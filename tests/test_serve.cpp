@@ -57,11 +57,11 @@ const falcon::KeyPair& key_b() {
 
 DispatcherOptions fast_options() {
   DispatcherOptions opts;
-  opts.signing.backend = engine::Backend::kBitsliced;
+  opts.signing.backend = engine::Backend::kWide;
   opts.signing.num_threads = 2;
   opts.signing.precision = 64;
   opts.signing.root_seed = 7;
-  opts.gaussian.backend = engine::Backend::kBitsliced;
+  opts.gaussian.backend = engine::Backend::kWide;
   opts.gaussian.num_threads = 1;
   opts.gaussian.root_seed = 7;
   return opts;
@@ -737,7 +737,7 @@ TEST(Dispatcher, VerifySlicesOnCrewKeepVerdictOrder) {
 // from several threads and let TSan judge the interleavings.
 TEST(SigningServiceOverlap, ConcurrentBatchesOnTwoKeysAllVerify) {
   falcon::SigningOptions opts;
-  opts.backend = engine::Backend::kBitsliced;
+  opts.backend = engine::Backend::kWide;
   opts.num_threads = 2;
   opts.precision = 64;
   opts.root_seed = 31337;

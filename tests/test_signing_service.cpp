@@ -10,7 +10,7 @@
 
 #include "common/blocksource.h"
 #include "conv/convolution.h"
-#include "ct/buffered.h"
+#include "ct/batch_sampler.h"
 #include "ct/compiled_sampler.h"
 #include "ct/synthesis.h"
 #include "engine/block_source.h"
@@ -45,8 +45,8 @@ bool sigs_equal(const Signature& a, const Signature& b) {
 
 TEST(BlockSource, ScalarShimMatchesDirectDraws) {
   auto synth = registry().get(gauss::GaussianParams::sigma_2(64));
-  ct::BufferedBitslicedSampler direct(*synth);
-  ct::BufferedBitslicedSampler shimmed(*synth);
+  ct::BufferedSampler direct(*synth);
+  ct::BufferedSampler shimmed(*synth);
   prng::ChaCha20Source rng1(5), rng2(5);
   ScalarBlockSource src(shimmed, &rng2);
   std::vector<std::int32_t> block(257);
@@ -55,14 +55,14 @@ TEST(BlockSource, ScalarShimMatchesDirectDraws) {
   EXPECT_EQ(src.preferred_block(), 1u);
 }
 
-TEST(BlockSource, EngineStreamIdenticalAcrossInterpretedBackends) {
+TEST(BlockSource, EngineStreamIdenticalAcrossCompiledAndInterpreted) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
   auto synth = registry().get(gauss::GaussianParams::sigma_2(64));
-  // The engine consumes randomness in the wide order on every backend
-  // (64-lane backends replay the interleaved word slices), so for one
-  // seed the bitsliced and wide engines are one stream — backends can be
-  // swapped in production without changing a single emitted sample. The
-  // compiled backend joins this grid in test_service's cross-backend
-  // differential test.
+  // Both evaluators run the one 256-lane runner on the same word order, so
+  // for one seed the compiled and interpreted engines are one stream —
+  // backends can be swapped in production without changing a single
+  // emitted sample. test_service's cross-backend differential holds the
+  // same through the Gaussian service.
   const auto run = [&](engine::Backend backend) {
     engine::EngineOptions opts;
     opts.backend = backend;
@@ -73,7 +73,7 @@ TEST(BlockSource, EngineStreamIdenticalAcrossInterpretedBackends) {
     eng.sample(out);
     return out;
   };
-  EXPECT_EQ(run(engine::Backend::kBitsliced), run(engine::Backend::kWide));
+  EXPECT_EQ(run(engine::Backend::kCompiled), run(engine::Backend::kWide));
 }
 
 TEST(BlockSource, EngineSourceServesBaseAndWords) {
@@ -181,8 +181,7 @@ TEST_P(ServiceBackends, SameMessageKeySeedAllVerify) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServiceBackends,
-                         ::testing::Values(engine::Backend::kBitsliced,
-                                           engine::Backend::kWide,
+                         ::testing::Values(engine::Backend::kWide,
                                            engine::Backend::kCompiled));
 
 TEST(Service, DeterministicForFixedSeedAndThreads) {
@@ -230,7 +229,7 @@ TEST(Service, TreeCachedPerKeyAndStatsAggregate) {
   const KeyPair other = keygen(FalconParams::for_degree(64), rng);
 
   SigningOptions opts;
-  opts.backend = engine::Backend::kBitsliced;
+  opts.backend = engine::Backend::kWide;
   opts.num_threads = 3;
   SigningService svc(registry(), opts);
   EXPECT_EQ(svc.num_cached_trees(), 0u);
@@ -260,7 +259,7 @@ TEST(Service, TreeCachedPerKeyAndStatsAggregate) {
 
 TEST(Service, EmptyBatchIsFine) {
   SigningOptions opts;
-  opts.backend = engine::Backend::kBitsliced;
+  opts.backend = engine::Backend::kWide;
   opts.num_threads = 2;
   SigningService svc(registry(), opts);
   EXPECT_TRUE(svc.sign_many(shared_key(), {}).empty());

@@ -1,10 +1,9 @@
-// 256-lane wide sampler: agreement with the 64-lane sampler when fed the
+// The 256-lane runner: agreement with the 64-lane runner when fed the
 // same word stream, distribution quality, validity masks.
 
 #include <gtest/gtest.h>
 
-#include "ct/bitsliced_sampler.h"
-#include "ct/wide_sampler.h"
+#include "ct/batch_sampler.h"
 #include "prng/chacha20.h"
 #include "stats/chisquare.h"
 
@@ -37,8 +36,7 @@ TEST(WideSampler, LaneGroupsMatch64LaneSampler) {
   WideBitslicedSampler wide(synthesize(m, {}));
   Replay wide_src(stream);
   std::uint32_t wide_out[256];
-  std::uint64_t wide_valid[4];
-  wide.sample_magnitudes(wide_src, wide_out, wide_valid);
+  const auto wide_valid = wide.sample_magnitudes(wide_src, wide_out);
 
   for (int group = 0; group < 4; ++group) {
     std::vector<std::uint64_t> group_stream;
@@ -47,9 +45,9 @@ TEST(WideSampler, LaneGroupsMatch64LaneSampler) {
     BitslicedSampler narrow(synthesize(m, {}));
     Replay narrow_src(group_stream);
     std::uint32_t narrow_out[64];
-    const std::uint64_t narrow_valid =
-        narrow.sample_magnitudes(narrow_src, narrow_out);
-    EXPECT_EQ(narrow_valid, wide_valid[group]) << group;
+    const auto narrow_valid = narrow.sample_magnitudes(narrow_src, narrow_out);
+    EXPECT_EQ(narrow_valid[0], wide_valid[static_cast<std::size_t>(group)])
+        << group;
     for (int lane = 0; lane < 64; ++lane)
       EXPECT_EQ(narrow_out[lane], wide_out[64 * group + lane])
           << group << ":" << lane;
@@ -62,9 +60,8 @@ TEST(WideSampler, DistributionIsCorrect) {
   prng::ChaCha20Source rng(13);
   stats::Histogram h;
   std::int32_t out[256];
-  std::uint64_t valid[4];
   for (int it = 0; it < 2000; ++it) {
-    s.sample_batch(rng, out, valid);
+    const auto valid = s.sample_batch(rng, out);
     for (int group = 0; group < 4; ++group)
       for (int lane = 0; lane < 64; ++lane)
         if ((valid[group] >> lane) & 1u) h.add(out[64 * group + lane]);
@@ -78,10 +75,9 @@ TEST(WideSampler, ValidMaskNearlyFullAtHighPrecision) {
   WideBitslicedSampler s(synthesize(m, {}));
   prng::ChaCha20Source rng(14);
   std::uint32_t out[256];
-  std::uint64_t valid[4];
   for (int it = 0; it < 50; ++it) {
-    s.sample_magnitudes(rng, out, valid);
-    for (int g = 0; g < 4; ++g) EXPECT_EQ(valid[g], ~std::uint64_t(0));
+    for (const std::uint64_t v : s.sample_magnitudes(rng, out))
+      EXPECT_EQ(v, ~std::uint64_t(0));
   }
 }
 
