@@ -204,7 +204,7 @@ WarmCold time_tree(const falcon::KeyPair& kp) {
     const falcon::FalconTree cold(kp);
     r.cold_us = std::min(r.cold_us, 1000.0 * ms_since(t0));
     t0 = Clock::now();
-    const falcon::TreeRecord rec = falcon::decode_tree(frame);
+    const falcon::TreeRecord rec = falcon::decode_tree(frame, kp.params);
     r.warm_us = std::min(r.warm_us, 1000.0 * ms_since(t0));
     if (rec.f != kp.f) std::abort();  // keep the decode observable
   }

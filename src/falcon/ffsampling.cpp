@@ -7,43 +7,39 @@
 
 namespace cgs::falcon {
 
-std::unique_ptr<FfNode> FalconTree::build(const CVec& g00, const CVec& g01,
-                                          const CVec& g11, double sigma_sig) {
-  const std::size_t m = g00.size();
-  auto node = std::make_unique<FfNode>();
+void FalconTree::build(std::size_t m, const CVec& g00, const CVec& g01,
+                       const CVec& g11, double sigma_sig, double* out) {
+  if (m == 1) {
+    const double d = g00[0].real();
+    CGS_CHECK_MSG(d > 0, "LDL diagonal not positive definite");
+    const double sigma = sigma_sig / std::sqrt(d);
+    out[0] = sigma;
+    out[1] = inv_two_sigma_sq(sigma);
+    min_sigma_ = std::min(min_sigma_, sigma);
+    max_sigma_ = std::max(max_sigma_, sigma);
+    return;
+  }
   // LDL*: G = [[1,0],[l10,1]] diag(d00,d11) [[1,l10*],[0,1]] with
   // l10 = g10/g00 = adj(g01)/g00 and d11 = g11 - l10 g01 (g00 self-adjoint).
-  node->l10 = div_fft(adj_fft(g01), g00);
-  const CVec d11 = sub_fft(g11, mul_fft(node->l10, g01));
-
-  if (m == 1) {
-    const double d0 = g00[0].real();
-    const double d1 = d11[0].real();
-    CGS_CHECK_MSG(d0 > 0 && d1 > 0, "LDL diagonal not positive definite");
-    node->sigma0 = sigma_sig / std::sqrt(d0);
-    node->sigma1 = sigma_sig / std::sqrt(d1);
-    node->isq0 = 1.0 / (2.0 * node->sigma0 * node->sigma0);
-    node->isq1 = 1.0 / (2.0 * node->sigma1 * node->sigma1);
-    min_sigma_ = std::min({min_sigma_, node->sigma0, node->sigma1});
-    max_sigma_ = std::max({max_sigma_, node->sigma0, node->sigma1});
-    return node;
+  const CVec l10 = div_fft(adj_fft(g01), g00);
+  const CVec d11 = sub_fft(g11, mul_fft(l10, g01));
+  for (std::size_t k = 0; k < l10.size(); ++k) {
+    out[2 * k] = l10[k].real();
+    out[2 * k + 1] = l10[k].imag();
   }
-
-  // Recurse: a self-adjoint diagonal d (dim m) becomes the 2x2 Gram
-  // [[d_0, d_1], [adj(d_1), d_0]] over dim m/2.
+  // Recurse: a self-adjoint diagonal d (ring size m) becomes the 2x2 Gram
+  // [[d_0, d_1], [adj(d_1), d_0]] over ring size m/2.
   CVec a0, a1;
   split_fft(g00, a0, a1);
-  node->child0 = build(a0, a1, a0, sigma_sig);
-  CVec b0, b1;
-  split_fft(d11, b0, b1);
-  node->child1 = build(b0, b1, b0, sigma_sig);
-  return node;
+  build(m / 2, a0, a1, a0, sigma_sig, out + m);
+  split_fft(d11, a0, a1);
+  build(m / 2, a0, a1, a0, sigma_sig, out + m + tree_size(m / 2));
 }
 
-FalconTree::FalconTree(const KeyPair& kp) {
-  const std::size_t n = kp.params.n;
-  IPoly neg_f(n), neg_f_cap(n);
-  for (std::size_t i = 0; i < n; ++i) {
+FalconTree::FalconTree(const KeyPair& kp)
+    : n_(kp.params.n), nodes_(tree_size(kp.params.n)) {
+  IPoly neg_f(n_), neg_f_cap(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
     neg_f[i] = -kp.f[i];
     neg_f_cap[i] = -kp.f_cap[i];
   }
@@ -58,18 +54,21 @@ FalconTree::FalconTree(const KeyPair& kp) {
                            mul_fft(b01_, adj_fft(b11_)));
   const CVec g11 = add_fft(mul_fft(b10_, adj_fft(b10_)),
                            mul_fft(b11_, adj_fft(b11_)));
-  root_ = build(g00, g01, g11, kp.params.sigma_sig);
+  build(n_, g00, g01, g11, kp.params.sigma_sig, nodes_.data());
   CGS_CHECK_MSG(min_sigma_ >= kp.params.sigma_min &&
                     max_sigma_ <= kp.params.sigma_max,
                 "tree leaf sigma escaped the base-sampler envelope");
 }
 
-FalconTree FalconTree::from_parts(std::unique_ptr<FfNode> root, CVec b00,
-                                  CVec b01, CVec b10, CVec b11,
+FalconTree FalconTree::from_parts(std::size_t n, std::vector<double> nodes,
+                                  CVec b00, CVec b01, CVec b10, CVec b11,
                                   double min_sigma, double max_sigma) {
-  CGS_CHECK(root != nullptr);
+  CGS_CHECK(nodes.size() == tree_size(n) && b00.size() == packed_size(n) &&
+            b01.size() == b00.size() && b10.size() == b00.size() &&
+            b11.size() == b00.size());
   FalconTree tree;
-  tree.root_ = std::move(root);
+  tree.n_ = n;
+  tree.nodes_ = std::move(nodes);
   tree.b00_ = std::move(b00);
   tree.b01_ = std::move(b01);
   tree.b10_ = std::move(b10);
@@ -82,153 +81,102 @@ FalconTree FalconTree::from_parts(std::unique_ptr<FfNode> root, CVec b00,
 void FfScratch::prepare(std::size_t dim) {
   if (n == dim) return;
   levels.clear();
-  for (std::size_t m = dim; m >= 2; m /= 2) {
-    Level level;
-    level.t0.resize(m / 2);
-    level.t1.resize(m / 2);
-    level.z0.resize(m / 2);
-    level.z1.resize(m / 2);
-    levels.push_back(std::move(level));
+  for (std::size_t m = dim; m >= 8; m /= 2) {
+    const std::size_t q = m / 4;  // packed size of ring m/2
+    levels.push_back(Level{CVec(q), CVec(q), CVec(q), CVec(q)});
   }
-  t0.resize(dim);
-  t1.resize(dim);
-  z0.resize(dim);
-  z1.resize(dim);
-  sig_t0.resize(dim);
-  sig_t1.resize(dim);
-  sig_s0f.resize(dim);
-  sig_s1f.resize(dim);
+  for (CVec* v : {&t0, &z0, &z1, &sig_t0, &sig_t1, &sig_s0f, &sig_s1f})
+    v->assign(packed_size(dim), cplx{});
   n = dim;
 }
 
 namespace {
 
-// The whole bottom of the tree, inlined: at m == 2 a split produces two
-// scalars (zeta_{2,0} = i, so the odd part is just a conjugate rotation),
-// the children are leaf pairs, and the merge of two real samples (a, b)
-// is the spectrum {a + ib, a - ib}. Spelling this out removes four
-// split/merge calls plus two recursion frames for every m == 2 node —
-// half the nodes of the tree.
-inline void ffsamp_node2(cplx* t0, const cplx* t1, const FfNode& node,
-                         SamplerZ& sz, cplx* z0, cplx* z1) {
-  const auto leaf_pair = [&sz](const FfNode& leaf, cplx ta, cplx tb,
-                               double& a, double& b) {
-    b = static_cast<double>(sz.sample(tb.real(), leaf.sigma1, leaf.isq1));
-    const cplx ta_adj = ta + cmul(tb - b, leaf.l10[0]);
-    a = static_cast<double>(sz.sample(ta_adj.real(), leaf.sigma0,
-                                      leaf.isq0));
-  };
-  cplx d = (t1[0] - t1[1]) * 0.5;
-  double a1, b1;
-  leaf_pair(*node.child1, (t1[0] + t1[1]) * 0.5, cplx(d.imag(), -d.real()),
-            a1, b1);
-  z1[0] = cplx(a1, b1);
-  z1[1] = cplx(a1, -b1);
-  t0[0] += cmul(t1[0] - z1[0], node.l10[0]);
-  t0[1] += cmul(t1[1] - z1[1], node.l10[1]);
-  d = (t0[0] - t0[1]) * 0.5;
-  double a0, b0;
-  leaf_pair(*node.child0, (t0[0] + t0[1]) * 0.5, cplx(d.imag(), -d.real()),
-            a0, b0);
-  z0[0] = cplx(a0, b0);
-  z0[1] = cplx(a0, -b0);
+// Both coordinates of a ring-size-2 target t = a + ib sit under one leaf
+// and share its width (the leaf's Gram matrix is diagonal): the odd one is
+// drawn first, then the even one.
+inline cplx leaf_pair(const double* leaf, cplx t, SamplerZ& sz) {
+  const double b = sz.sample(t.imag(), leaf[0], leaf[1]);
+  const double a = sz.sample(t.real(), leaf[0], leaf[1]);
+  return {a, b};
+}
+
+// Ring size 2: one packed value per target, two leaves below. t0 is
+// clobbered for the adjusted target.
+inline void ffsamp2(const double* node, cplx& t0, cplx t1, SamplerZ& sz,
+                    cplx& z0, cplx& z1) {
+  z1 = leaf_pair(node + 2 + FalconTree::tree_size(1), t1, sz);
+  t0 += cmul(t1 - z1, cplx(node[0], node[1]));
+  z0 = leaf_pair(node + 2, t0, sz);
 }
 
 // Recursive nearest-plane sampling over preallocated per-level buffers:
-// (t0, t1) is the target pair (t0 is clobbered in place for the adjusted
-// target), integer outputs land in (z0, z1) as FFT-domain spectra. The
-// children of one node run sequentially, so one Level per depth suffices.
-void ffsamp_rec(std::span<cplx> t0, std::span<cplx> t1, const FfNode& node,
-                SamplerZ& sz, FfScratch& scratch, std::size_t depth,
-                std::span<cplx> z0, std::span<cplx> z1) {
-  const std::size_t m = t0.size();
-  if (m == 1) {
-    const double s1 = static_cast<double>(
-        sz.sample(t1[0].real(), node.sigma1, node.isq1));
-    const cplx t0_adj = t0[0] + cmul(t1[0] - s1, node.l10[0]);
-    const double s0 = static_cast<double>(
-        sz.sample(t0_adj.real(), node.sigma0, node.isq0));
-    z0[0] = cplx(s0, 0);
-    z1[0] = cplx(s1, 0);
-    return;
-  }
+// (t0, t1) is the target pair over ring size m (t0 is clobbered in place
+// for the adjusted target), integer outputs land in (z0, z1) as packed
+// spectra. The children of one node run sequentially, so one Level per
+// depth suffices.
+void ffsamp_rec(std::size_t m, const double* node, cplx* t0, const cplx* t1,
+                cplx* z0, cplx* z1, SamplerZ& sz, FfScratch& scratch,
+                std::size_t depth) {
   if (m == 2) {
-    ffsamp_node2(t0.data(), t1.data(), node, sz, z0.data(), z1.data());
+    ffsamp2(node, t0[0], t1[0], sz, z0[0], z1[0]);
     return;
   }
+  const std::size_t h = m / 2;  // packed values per target
+  const double* child0 = node + m;
+  const double* child1 = child0 + FalconTree::tree_size(m / 2);
   if (m == 4) {
-    // One more level inlined with literal twiddles (zeta_{4,0} and
-    // zeta_{4,1} are (+-sqrt2/2, sqrt2/2)): the m == 4 nodes are a quarter
-    // of the tree, and their split/merge bodies are four complex ops each.
+    // Inlined with the literal twiddle zeta_{4,0} = (sqrt2/2, sqrt2/2):
+    // the m == 4 nodes are a quarter of the tree, and their split/merge
+    // bodies are one butterfly each.
     constexpr double kR = 0.70710678118654752440;  // sqrt(2)/2
-    constexpr cplx w0{kR, kR}, w1{-kR, kR};
-    cplx a[2], b[2];
-    a[0] = (t1[0] + t1[2]) * 0.5;
-    a[1] = (t1[1] + t1[3]) * 0.5;
-    b[0] = cmul_conj((t1[0] - t1[2]) * 0.5, w0);
-    b[1] = cmul_conj((t1[1] - t1[3]) * 0.5, w1);
-    cplx za[2], zb[2];
-    ffsamp_node2(a, b, *node.child1, sz, za, zb);
-    z1[0] = za[0] + cmul(w0, zb[0]);
-    z1[1] = za[1] + cmul(w1, zb[1]);
-    z1[2] = za[0] - cmul(w0, zb[0]);
-    z1[3] = za[1] - cmul(w1, zb[1]);
-    for (std::size_t k = 0; k < 4; ++k)
-      t0[k] += cmul(t1[k] - z1[k], node.l10[k]);
-    a[0] = (t0[0] + t0[2]) * 0.5;
-    a[1] = (t0[1] + t0[3]) * 0.5;
-    b[0] = cmul_conj((t0[0] - t0[2]) * 0.5, w0);
-    b[1] = cmul_conj((t0[1] - t0[3]) * 0.5, w1);
-    ffsamp_node2(a, b, *node.child0, sz, za, zb);
-    z0[0] = za[0] + cmul(w0, zb[0]);
-    z0[1] = za[1] + cmul(w1, zb[1]);
-    z0[2] = za[0] - cmul(w0, zb[0]);
-    z0[3] = za[1] - cmul(w1, zb[1]);
+    constexpr cplx w0{kR, kR};
+    const auto split4 = [w0](const cplx* t, cplx& a, cplx& b) {
+      const cplx u = std::conj(t[1]);
+      a = (t[0] + u) * 0.5;
+      b = cmul_conj((t[0] - u) * 0.5, w0);
+    };
+    const auto merge4 = [w0](cplx a, cplx b, cplx* z) {
+      const cplx t = cmul(w0, b);
+      z[0] = a + t;
+      z[1] = std::conj(a - t);
+    };
+    cplx a, b, za, zb;
+    split4(t1, a, b);
+    ffsamp2(child1, a, b, sz, za, zb);
+    merge4(za, zb, z1);
+    for (std::size_t k = 0; k < 2; ++k)
+      t0[k] += cmul(t1[k] - z1[k], cplx(node[2 * k], node[2 * k + 1]));
+    split4(t0, a, b);
+    ffsamp2(child0, a, b, sz, za, zb);
+    merge4(za, zb, z0);
     return;
   }
   FfScratch::Level& lv = scratch.levels[depth];
-  split_fft(t1, std::span<cplx>(lv.t0), std::span<cplx>(lv.t1));
-  ffsamp_rec(lv.t0, lv.t1, *node.child1, sz, scratch, depth + 1, lv.z0,
-             lv.z1);
-  merge_fft(lv.z0, lv.z1, z1);
+  split_fft(std::span<const cplx>(t1, h), lv.t0, lv.t1);
+  ffsamp_rec(m / 2, child1, lv.t0.data(), lv.t1.data(), lv.z0.data(),
+             lv.z1.data(), sz, scratch, depth + 1);
+  merge_fft(lv.z0, lv.z1, std::span<cplx>(z1, h));
 
   // t0 <- t0 + (t1 - z1) l10, in place.
-  for (std::size_t k = 0; k < m; ++k)
-    t0[k] += cmul(t1[k] - z1[k], node.l10[k]);
-  split_fft(t0, std::span<cplx>(lv.t0), std::span<cplx>(lv.t1));
-  ffsamp_rec(lv.t0, lv.t1, *node.child0, sz, scratch, depth + 1, lv.z0,
-             lv.z1);
-  merge_fft(lv.z0, lv.z1, z0);
-}
-
-std::vector<std::int32_t> round_ifft(std::span<const cplx> z) {
-  const std::vector<double> c = ifft(z);
-  std::vector<std::int32_t> r(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const double v = std::nearbyint(c[i]);
-    CGS_CHECK_MSG(std::fabs(v - c[i]) < 0.4,
-                  "ffSampling output drifted from integrality");
-    r[i] = static_cast<std::int32_t>(v);
-  }
-  return r;
+  for (std::size_t k = 0; k < h; ++k)
+    t0[k] += cmul(t1[k] - z1[k], cplx(node[2 * k], node[2 * k + 1]));
+  split_fft(std::span<const cplx>(t0, h), lv.t0, lv.t1);
+  ffsamp_rec(m / 2, child0, lv.t0.data(), lv.t1.data(), lv.z0.data(),
+             lv.z1.data(), sz, scratch, depth + 1);
+  merge_fft(lv.z0, lv.z1, std::span<cplx>(z0, h));
 }
 
 }  // namespace
 
 void ff_sampling_fft(const CVec& t0, const CVec& t1, const FalconTree& tree,
                      SamplerZ& samplerz, FfScratch& scratch) {
-  CGS_CHECK(t0.size() == t1.size());
-  scratch.prepare(t0.size());
+  const std::size_t n = tree.degree();
+  CGS_CHECK(n >= 2 && t0.size() == packed_size(n) && t1.size() == t0.size());
+  scratch.prepare(n);
   std::copy(t0.begin(), t0.end(), scratch.t0.begin());
-  std::copy(t1.begin(), t1.end(), scratch.t1.begin());
-  ffsamp_rec(scratch.t0, scratch.t1, tree.root(), samplerz, scratch, 0,
-             scratch.z0, scratch.z1);
-}
-
-FfSample ff_sampling(const CVec& t0, const CVec& t1, const FalconTree& tree,
-                     SamplerZ& samplerz, FfScratch& scratch) {
-  ff_sampling_fft(t0, t1, tree, samplerz, scratch);
-  return FfSample{round_ifft(scratch.z0), round_ifft(scratch.z1)};
+  ffsamp_rec(n, tree.nodes().data(), scratch.t0.data(), t1.data(),
+             scratch.z0.data(), scratch.z1.data(), samplerz, scratch, 0);
 }
 
 }  // namespace cgs::falcon

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -17,20 +18,15 @@ namespace {
 
 bool is_pow2(std::size_t m) { return m != 0 && (m & (m - 1)) == 0; }
 
-// Precomputed butterfly schedule for ring size m. The negacyclic recursion
-// evaluates both the even and the odd half over the *same* root set, so —
-// unlike the cyclic FFT — every block of a level shares one twiddle array:
-// level l holds root_of_unity(s, k) for s = 2 << l, k < s/2, split into
+// Per ring size m: the split/merge twiddles zeta_k(m) for k < m/4, as
 // separate re/im arrays (with __restrict pointers below, the split form is
-// what lets the butterfly loops vectorize). bitrev pairs the iterative
-// bottom-up traversal with the recursive even/odd definition.
-//
-// The old implementation recomputed cos/sin per butterfly — n log n trig
-// calls per transform, which dominated the whole signing path. The tables
-// hold identical values, so results match the recursive form butterfly for
+// what lets the butterfly loops vectorize), and the size-m bit-reversal
+// that pairs fft/ifft's iterative bottom-up traversal with the recursive
+// even/odd definition. fft and ifft are nothing but the split/merge
+// kernels applied level by level, so all three agree butterfly for
 // butterfly.
 struct FftPlan {
-  std::vector<std::vector<double>> twr, twi;  // per level, k < s/2
+  std::vector<double> wr, wi;  // k < m/4 (empty for m < 4)
   std::vector<std::uint32_t> bitrev;
 };
 
@@ -49,15 +45,10 @@ const FftPlan& plan_for(std::size_t m) {
     return *p;
 
   auto plan = std::make_unique<FftPlan>();
-  for (std::size_t s = 2; s <= m; s <<= 1) {
-    std::vector<double> re(s / 2), im(s / 2);
-    for (std::size_t k = 0; k < s / 2; ++k) {
-      const cplx w = root_of_unity(s, k);
-      re[k] = w.real();
-      im[k] = w.imag();
-    }
-    plan->twr.push_back(std::move(re));
-    plan->twi.push_back(std::move(im));
+  for (std::size_t k = 0; k < m / 4; ++k) {
+    const cplx w = root_of_unity(m, k);
+    plan->wr.push_back(w.real());
+    plan->wi.push_back(w.imag());
   }
   plan->bitrev.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -80,6 +71,50 @@ const double* as_doubles(const cplx* p) {
   return reinterpret_cast<const double*>(p);
 }
 
+// Merge at ring size m = 4q: f0, f1 hold q packed values each, out 2q.
+// With t = zeta_k f1[k], f(zeta_k) = f0[k] + t and, at the mirrored slot
+// m/2-1-k (where zeta = -conj(zeta_k)), f = conj(f0[k] - t).
+void merge_block(const cplx* f0, const cplx* f1, cplx* out, std::size_t q,
+                 const FftPlan& plan) {
+  const double* __restrict wr = plan.wr.data();
+  const double* __restrict wi = plan.wi.data();
+  const double* __restrict a = as_doubles(f0);
+  const double* __restrict b = as_doubles(f1);
+  double* __restrict o = as_doubles(out);
+  const std::size_t last = 2 * q - 1;
+  for (std::size_t k = 0; k < q; ++k) {
+    const double xr = b[2 * k], xi = b[2 * k + 1];
+    const double tr = wr[k] * xr - wi[k] * xi;
+    const double ti = wr[k] * xi + wi[k] * xr;
+    o[2 * k] = a[2 * k] + tr;
+    o[2 * k + 1] = a[2 * k + 1] + ti;
+    o[2 * (last - k)] = a[2 * k] - tr;
+    o[2 * (last - k) + 1] = ti - a[2 * k + 1];
+  }
+}
+
+// Split at ring size m = 4q, the inverse of merge_block: the pair
+// (f(zeta_k), f(-zeta_k)) is (f[k], conj(f[m/2-1-k])).
+void split_block(const cplx* f, cplx* f0, cplx* f1, std::size_t q,
+                 const FftPlan& plan) {
+  const double* __restrict wr = plan.wr.data();
+  const double* __restrict wi = plan.wi.data();
+  const double* __restrict p = as_doubles(f);
+  double* __restrict q0 = as_doubles(f0);
+  double* __restrict q1 = as_doubles(f1);
+  const std::size_t last = 2 * q - 1;
+  for (std::size_t k = 0; k < q; ++k) {
+    const double ar = p[2 * k], ai = p[2 * k + 1];
+    const double br = p[2 * (last - k)], bi = -p[2 * (last - k) + 1];
+    const double dr = (ar - br) * 0.5, di = (ai - bi) * 0.5;
+    q0[2 * k] = (ar + br) * 0.5;
+    q0[2 * k + 1] = (ai + bi) * 0.5;
+    // d * conj(zeta_k), |zeta_k| == 1.
+    q1[2 * k] = dr * wr[k] + di * wi[k];
+    q1[2 * k + 1] = di * wr[k] - dr * wi[k];
+  }
+}
+
 }  // namespace
 
 cplx root_of_unity(std::size_t m, std::size_t k) {
@@ -92,131 +127,91 @@ cplx root_of_unity(std::size_t m, std::size_t k) {
 CVec fft(std::span<const double> coeffs) {
   const std::size_t m = coeffs.size();
   CGS_CHECK(is_pow2(m));
-  CVec f(m);
-  if (m == 1) {
-    f[0] = coeffs[0];
-    return f;
+  if (m == 1) return CVec{cplx(coeffs[0], 0.0)};
+  const std::size_t h = m / 2;
+  CVec out(h), tmp(h);
+  // Ping-pong between the two buffers, starting in whichever one makes the
+  // last level land in `out`.
+  const int levels = std::countr_zero(m) - 1;
+  cplx* src = (levels % 2 == 0) ? out.data() : tmp.data();
+  cplx* dst = (levels % 2 == 0) ? tmp.data() : out.data();
+  // Ring size 2: zeta = i, so each even/odd coefficient pair (in
+  // bit-reversed order) packs into one value a + ib.
+  const FftPlan& top = plan_for(m);
+  for (std::size_t j = 0; j < h; ++j)
+    src[j] = cplx(coeffs[top.bitrev[2 * j]], coeffs[top.bitrev[2 * j + 1]]);
+  for (std::size_t s = 4; s <= m; s <<= 1) {
+    const FftPlan& plan = plan_for(s);
+    const std::size_t q = s / 4;
+    for (std::size_t o = 0; o < h; o += 2 * q)
+      merge_block(src + o, src + o + q, dst + o, q, plan);
+    std::swap(src, dst);
   }
-  const FftPlan& plan = plan_for(m);
-  for (std::size_t i = 0; i < m; ++i) f[i] = coeffs[plan.bitrev[i]];
-  double* const fd = as_doubles(f.data());
-  std::size_t level = 0;
-  for (std::size_t s = 2; s <= m; s <<= 1, ++level) {
-    const double* __restrict wr = plan.twr[level].data();
-    const double* __restrict wi = plan.twi[level].data();
-    const std::size_t half = s / 2;
-    for (std::size_t o = 0; o < m; o += s) {
-      double* __restrict pa = fd + 2 * o;
-      double* __restrict pb = fd + 2 * (o + half);
-      for (std::size_t k = 0; k < half; ++k) {
-        const double ar = pa[2 * k], ai = pa[2 * k + 1];
-        const double xr = pb[2 * k], xi = pb[2 * k + 1];
-        const double br = wr[k] * xr - wi[k] * xi;
-        const double bi = wr[k] * xi + wi[k] * xr;
-        pa[2 * k] = ar + br;
-        pa[2 * k + 1] = ai + bi;
-        pb[2 * k] = ar - br;
-        pb[2 * k + 1] = ai - bi;
-      }
-    }
-  }
-  return f;
+  return out;
 }
 
-std::vector<double> ifft(std::span<const cplx> spectrum) {
-  const std::size_t m = spectrum.size();
-  CGS_CHECK(is_pow2(m));
-  std::vector<double> out(m);
+void ifft(std::span<const cplx> spectrum, std::span<double> out) {
+  const std::size_t m = out.size();
+  CGS_CHECK(is_pow2(m) && spectrum.size() == packed_size(m));
   if (m == 1) {
     out[0] = spectrum[0].real();
-    return out;
+    return;
   }
-  const FftPlan& plan = plan_for(m);
-  CVec f(spectrum.begin(), spectrum.end());
-  double* const fd = as_doubles(f.data());
-  std::size_t level = plan.twr.size();
-  for (std::size_t s = m; s >= 2; s >>= 1) {
-    --level;
-    const double* __restrict wr = plan.twr[level].data();
-    const double* __restrict wi = plan.twi[level].data();
-    const std::size_t half = s / 2;
-    for (std::size_t o = 0; o < m; o += s) {
-      double* __restrict pa = fd + 2 * o;
-      double* __restrict pb = fd + 2 * (o + half);
-      for (std::size_t k = 0; k < half; ++k) {
-        const double ar = pa[2 * k], ai = pa[2 * k + 1];
-        const double br = pb[2 * k], bi = pb[2 * k + 1];
-        const double dr = (ar - br) * 0.5, di = (ai - bi) * 0.5;
-        pa[2 * k] = (ar + br) * 0.5;
-        pa[2 * k + 1] = (ai + bi) * 0.5;
-        // d * conj(w), |w| == 1.
-        pb[2 * k] = dr * wr[k] + di * wi[k];
-        pb[2 * k + 1] = di * wr[k] - dr * wi[k];
-      }
-    }
+  const std::size_t h = m / 2;
+  CVec a(spectrum.begin(), spectrum.end()), b(h);
+  cplx* src = a.data();
+  cplx* dst = b.data();
+  for (std::size_t s = m; s >= 4; s >>= 1) {
+    const FftPlan& plan = plan_for(s);
+    const std::size_t q = s / 4;
+    for (std::size_t o = 0; o < h; o += 2 * q)
+      split_block(src + o, dst + o, dst + o + q, q, plan);
+    std::swap(src, dst);
   }
-  for (std::size_t i = 0; i < m; ++i) out[i] = f[plan.bitrev[i]].real();
+  const FftPlan& top = plan_for(m);
+  for (std::size_t j = 0; j < h; ++j) {
+    out[top.bitrev[2 * j]] = src[j].real();
+    out[top.bitrev[2 * j + 1]] = src[j].imag();
+  }
+}
+
+std::vector<double> ifft(std::span<const cplx> spectrum, std::size_t m) {
+  std::vector<double> out(m);
+  ifft(spectrum, out);
   return out;
 }
 
 void split_fft(std::span<const cplx> f, std::span<cplx> f0,
                std::span<cplx> f1) {
-  const std::size_t m = f.size();
-  CGS_CHECK(is_pow2(m) && m >= 2);
-  CGS_CHECK(f0.size() == m / 2 && f1.size() == m / 2);
-  const FftPlan& plan = plan_for(m);
-  const double* __restrict wr = plan.twr.back().data();
-  const double* __restrict wi = plan.twi.back().data();
-  const double* __restrict pa = as_doubles(f.data());
-  const double* __restrict pb = as_doubles(f.data() + m / 2);
-  double* __restrict q0 = as_doubles(f0.data());
-  double* __restrict q1 = as_doubles(f1.data());
-  for (std::size_t k = 0; k < m / 2; ++k) {
-    const double ar = pa[2 * k], ai = pa[2 * k + 1];
-    const double br = pb[2 * k], bi = pb[2 * k + 1];
-    const double dr = (ar - br) * 0.5, di = (ai - bi) * 0.5;
-    q0[2 * k] = (ar + br) * 0.5;
-    q0[2 * k + 1] = (ai + bi) * 0.5;
-    q1[2 * k] = dr * wr[k] + di * wi[k];
-    q1[2 * k + 1] = di * wr[k] - dr * wi[k];
+  const std::size_t h = f.size();
+  // plan_for indexes by log2: a non-power-of-two size would silently pick
+  // the wrong plan and read past its twiddle table.
+  CGS_CHECK(is_pow2(h));
+  CGS_CHECK(f0.size() == packed_size(h) && f1.size() == packed_size(h));
+  if (h == 1) {  // ring size 2: f(i) = f0 + i f1 with f0, f1 real
+    f0[0] = cplx(f[0].real(), 0.0);
+    f1[0] = cplx(f[0].imag(), 0.0);
+    return;
   }
+  split_block(f.data(), f0.data(), f1.data(), h / 2, plan_for(2 * h));
 }
 
 void split_fft(std::span<const cplx> f, CVec& f0, CVec& f1) {
-  f0.resize(f.size() / 2);
-  f1.resize(f.size() / 2);
+  f0.resize(packed_size(f.size()));
+  f1.resize(packed_size(f.size()));
   split_fft(f, std::span<cplx>(f0), std::span<cplx>(f1));
 }
 
 void merge_fft(std::span<const cplx> f0, std::span<const cplx> f1,
                std::span<cplx> out) {
-  const std::size_t half = f0.size();
-  CGS_CHECK(f1.size() == half && out.size() == 2 * half);
-  // plan_for indexes by log2: a non-power-of-two size would silently pick
-  // the wrong plan and read past its twiddle table.
-  CGS_CHECK(is_pow2(2 * half));
-  const FftPlan& plan = plan_for(2 * half);
-  const double* __restrict wr = plan.twr.back().data();
-  const double* __restrict wi = plan.twi.back().data();
-  const double* __restrict q0 = as_doubles(f0.data());
-  const double* __restrict q1 = as_doubles(f1.data());
-  double* __restrict pa = as_doubles(out.data());
-  double* __restrict pb = as_doubles(out.data() + half);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double xr = q1[2 * k], xi = q1[2 * k + 1];
-    const double br = wr[k] * xr - wi[k] * xi;
-    const double bi = wr[k] * xi + wi[k] * xr;
-    pa[2 * k] = q0[2 * k] + br;
-    pa[2 * k + 1] = q0[2 * k + 1] + bi;
-    pb[2 * k] = q0[2 * k] - br;
-    pb[2 * k + 1] = q0[2 * k + 1] - bi;
+  const std::size_t h = out.size();
+  CGS_CHECK(is_pow2(h));
+  CGS_CHECK(f0.size() == packed_size(h) && f1.size() == packed_size(h));
+  if (h == 1) {  // two size-1 rings into ring size 2
+    out[0] = cplx(f0[0].real(), f1[0].real());
+    return;
   }
-}
-
-CVec merge_fft(std::span<const cplx> f0, std::span<const cplx> f1) {
-  CVec f(2 * f0.size());
-  merge_fft(f0, f1, f);
-  return f;
+  merge_block(f0.data(), f1.data(), out.data(), h / 2, plan_for(2 * h));
 }
 
 CVec mul_fft(std::span<const cplx> a, std::span<const cplx> b) {

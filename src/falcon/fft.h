@@ -1,9 +1,19 @@
 #pragma once
 // Negacyclic complex FFT over R[x]/(x^m+1), m a power of two: the numeric
 // backbone of Falcon's keygen (Babai reduction), ffLDL tree and ffSampling.
-// Polynomials of size m are evaluated at the m odd 2m-th roots of unity
-// zeta_k = exp(i pi (2k+1)/m); the full complex spectrum is kept (no
-// Hermitian packing) for clarity.
+//
+// Hermitian-packed: a real polynomial of size m >= 2 is evaluated at the
+// m odd 2m-th roots of unity zeta_k = exp(i pi (2k+1)/m), and since
+// zeta_{m-1-k} = conj(zeta_k) its value there is the conjugate of the
+// value at zeta_k. Only the first half, k < m/2 (the roots in the upper
+// half plane, in natural order), is stored. A size-1 polynomial is its
+// own spectrum: one value with a zero imaginary part. Every spectrum in
+// src/falcon/ is in this form; pointwise products, sums, quotients and
+// adjoints (conjugation) act on the stored half unchanged.
+//
+// Sizes 1 and 2 both pack into one value, so the functions that produce
+// coefficients or merge to a size-2 spectrum take the ring size from their
+// output.
 
 #include <complex>
 #include <span>
@@ -14,25 +24,29 @@ namespace cgs::falcon {
 using cplx = std::complex<double>;
 using CVec = std::vector<cplx>;
 
-/// Forward FFT of real coefficients (size must be a power of two).
+/// Packed spectrum length of a ring of size m: m/2, or 1 for m == 1.
+constexpr std::size_t packed_size(std::size_t m) { return m < 2 ? 1 : m / 2; }
+
+/// Forward FFT of real coefficients (size m, a power of two); returns
+/// packed_size(m) values.
 CVec fft(std::span<const double> coeffs);
 
-/// Inverse FFT back to real coefficients (imaginary parts discarded; they
-/// are ~1e-12 for genuinely real polynomials).
-std::vector<double> ifft(std::span<const CVec::value_type> spectrum);
+/// Inverse FFT: the m = out.size() real coefficients of a packed spectrum
+/// (spectrum.size() == packed_size(m)).
+void ifft(std::span<const cplx> spectrum, std::span<double> out);
+std::vector<double> ifft(std::span<const cplx> spectrum, std::size_t m);
 
-/// FFT-domain split: spectrum of f (size m) -> spectra of f0, f1 (size m/2)
-/// where f(x) = f0(x^2) + x f1(x^2).
-void split_fft(std::span<const cplx> f, CVec& f0, CVec& f1);
-/// Allocation-free form: f0, f1 must be sized m/2 and must not alias f
-/// (ffSampling hot path; the kernels assume distinct buffers).
+/// FFT-domain split: packed spectrum of f (ring size m >= 2, so f.size()
+/// is m/2) -> packed spectra of f0, f1 (ring size m/2) where
+/// f(x) = f0(x^2) + x f1(x^2). f0 and f1 must be sized packed_size(m/2)
+/// and must not alias f.
 void split_fft(std::span<const cplx> f, std::span<cplx> f0,
                std::span<cplx> f1);
+void split_fft(std::span<const cplx> f, CVec& f0, CVec& f1);
 
-/// Inverse of split_fft.
-CVec merge_fft(std::span<const cplx> f0, std::span<const cplx> f1);
-/// Allocation-free form: out must be sized 2 * f0.size() and must not
-/// alias f0 or f1.
+/// Inverse of split_fft: out.size() == packed_size(m) for the merged ring
+/// size m (so out.size() == 1 merges two size-1 rings into a size-2 one).
+/// out must not alias f0 or f1.
 void merge_fft(std::span<const cplx> f0, std::span<const cplx> f1,
                std::span<cplx> out);
 

@@ -35,13 +35,14 @@ double gs_norm_sq(const IPoly& f, const IPoly& g) {
   const CVec gf = fft(to_doubles(g));
   const std::size_t n = f.size();
   double second = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < ff.size(); ++k) {
     const double d = std::norm(ff[k]) + std::norm(gf[k]);
     // ||q f* / (f f* + g g*)||^2 contribution of slot k is q^2 |f_k|^2/d^2;
-    // FFT Parseval: coefficient-domain norm = spectrum norm / n.
+    // FFT Parseval: coefficient-domain norm = spectrum norm / n, and the
+    // packed half carries half the spectrum norm.
     second += static_cast<double>(kQ) * kQ * (std::norm(ff[k]) + std::norm(gf[k])) / (d * d);
   }
-  second /= static_cast<double>(n);
+  second *= 2.0 / static_cast<double>(n);
   return std::max(first, second);
 }
 

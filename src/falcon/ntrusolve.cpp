@@ -45,7 +45,7 @@ void reduce_against(const ZPoly& f, const ZPoly& g, ZPoly& F, ZPoly& G) {
     const CVec Ga = fft(zp_to_doubles(G, scale));
     const CVec num =
         add_fft(mul_fft(Fa, adj_fft(fa)), mul_fft(Ga, adj_fft(ga)));
-    std::vector<double> k_real = ifft(div_fft(num, den));
+    std::vector<double> k_real = ifft(div_fft(num, den), m);
 
     // While (F, G) is longer than (f, g), k_real itself is O(1): rounding
     // it would take a bit or two per round, or nothing. Scale it up to

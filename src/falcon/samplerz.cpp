@@ -43,7 +43,7 @@ void SamplerZ::bind(RandomBitSource& rng) {
 }
 
 std::int32_t SamplerZ::sample(double c, double sigma) {
-  return sample(c, sigma, 1.0 / (2.0 * sigma * sigma));
+  return sample(c, sigma, inv_two_sigma_sq(sigma));
 }
 
 std::int32_t SamplerZ::sample(double c, double sigma, RandomBitSource& rng) {

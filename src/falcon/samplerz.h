@@ -33,6 +33,68 @@
 
 namespace cgs::falcon {
 
+/// 1/(2 sigma^2), the width term of the SamplerZ parabola. One expression
+/// for every producer (tree leaves, their decode, SamplerZ itself), so a
+/// value recomputed anywhere is bit-identical to the stored one.
+inline double inv_two_sigma_sq(double sigma) {
+  return 1.0 / (2.0 * sigma * sigma);
+}
+
+namespace detail {
+
+/// exp(-x) without the libm round trip, branch-free: split x = k ln2 + r
+/// (Cody-Waite two-term reduction, so the reduced argument keeps full
+/// precision), evaluate the degree-16 Taylor polynomial of exp(t) at
+/// t = -r in (-ln2, 0] (truncation error ln2^17/17! ~= 5.5e-18, below one
+/// ulp of the result), scale by a bit-assembled 2^-k. The polynomial runs
+/// in Estrin's scheme over t^2, t^4, t^8: five dependent multiply-add
+/// steps instead of Horner's sixteen, the latency SamplerZ pays on every
+/// base draw. Within a few ulps of std::exp, far below the 2^-53
+/// quantization of the uniform the result is compared against.
+/// x <= 0 and NaN return exactly 1 (accept); x is capped at 1022 ln2,
+/// where the result (~2^-1022) sits below every nonzero uniform.
+inline double exp_neg(double x) {
+  constexpr double kInvLn2 = 1.4426950408889634074;
+  // ln2 split with 27 zero low bits in the high part: kd (integral,
+  // <= 1022) times kLn2Hi is exact, so r carries no cancellation error
+  // from the reduction.
+  constexpr double kLn2Hi = 0x1.62e42fefa38p-1;
+  constexpr double kLn2Lo = 0x1.ef35793c7673p-45;
+  constexpr double kMaxX = 1022.0 * 0.69314718055994530942;
+  x = x > 0.0 ? x : 0.0;  // NaN compares false: -> 0
+  x = x < kMaxX ? x : kMaxX;
+  double kd = std::floor(x * kInvLn2);
+  kd = kd < 1022.0 ? kd : 1022.0;
+  const double t = -((x - kd * kLn2Hi) - kd * kLn2Lo);  // in (-ln2, 0]
+  // c_j = 1/j!, exactly rounded (j! <= 16! < 2^53 is exact).
+  constexpr double c2 = 1.0 / 2, c3 = 1.0 / 6, c4 = 1.0 / 24,
+                   c5 = 1.0 / 120, c6 = 1.0 / 720, c7 = 1.0 / 5040,
+                   c8 = 1.0 / 40320, c9 = 1.0 / 362880,
+                   c10 = 1.0 / 3628800, c11 = 1.0 / 39916800,
+                   c12 = 1.0 / 479001600, c13 = 1.0 / 6227020800,
+                   c14 = 1.0 / 87178291200, c15 = 1.0 / 1307674368000,
+                   c16 = 1.0 / 20922789888000;
+  const double t2 = t * t;
+  const double t4 = t2 * t2;
+  const double t8 = t4 * t4;
+  const double p01 = 1.0 + t, p23 = c2 + c3 * t, p45 = c4 + c5 * t,
+               p67 = c6 + c7 * t, p89 = c8 + c9 * t, pab = c10 + c11 * t,
+               pcd = c12 + c13 * t, pef = c14 + c15 * t;
+  const double p0 = p01 + p23 * t2, p1 = p45 + p67 * t2,
+               p2 = p89 + pab * t2, p3 = pcd + pef * t2;
+  const double lo = p0 + p1 * t4;
+  const double hi = p2 + p3 * t4 + c16 * t8;
+  const double p = lo + hi * t8;
+  // 2^-k assembled from the exponent field (k in [0, 1022]).
+  const std::uint64_t bits = (1023ull - static_cast<std::uint64_t>(kd))
+                             << 52;
+  double scale;
+  std::memcpy(&scale, &bits, sizeof scale);
+  return p * scale;
+}
+
+}  // namespace detail
+
 class SamplerZ {
  public:
   /// Batch-aware: `source` (not owned) supplies base samples from
@@ -51,11 +113,11 @@ class SamplerZ {
   /// One sample from D_{Z, c, sigma}; requires sigma <= sigma_base.
   std::int32_t sample(double c, double sigma);
 
-  /// Hot-path form with the caller's precomputed 1/(2 sigma^2) — the tree
-  /// leaves carry it so the ~2N parabola setups per signature skip the
-  /// divisions. Inline (header-defined) so the ffSampling leaves fold the
-  /// whole rejection loop into the recursion.
-  std::int32_t sample(double c, double sigma, double inv_two_sigma_sq) {
+  /// Hot-path form with the caller's precomputed isq = 1/(2 sigma^2) —
+  /// the tree leaves carry it so the ~2N parabola setups per signature
+  /// skip the divisions. Inline (header-defined) so the ffSampling leaves
+  /// fold the whole rejection loop into the recursion.
+  std::int32_t sample(double c, double sigma, double isq) {
     CGS_CHECK_MSG(sigma <= sigma_base_ && sigma > 0,
                   "SamplerZ needs sigma <= sigma_base");
     const double s = std::floor(c);
@@ -65,7 +127,6 @@ class SamplerZ {
     //   exp(g(y) - g_max),  g(y) = y^2/(2 sb^2) - (y - r)^2/(2 sigma^2),
     // which shapes the output into D_{Z, r, sigma}. g is a downward
     // parabola (sigma <= sb), so g_max is at the vertex.
-    const double isq = inv_two_sigma_sq;
     const double a = inv_2sb2_ - isq;  // < 0 (or 0 when equal)
     const double b = r * (2.0 * isq);  // r / sigma^2
     const double c0 = -r * r * isq;
@@ -75,7 +136,7 @@ class SamplerZ {
       ++base_calls_;
       const double y = static_cast<double>(next_base());
       const double g = a * y * y + b * y + c0;
-      const double accept_p = exp_neg(g_max - g);
+      const double accept_p = detail::exp_neg(g_max - g);
       // Uniform in [0,1) from 53 random bits (0x1p-53 multiply == ldexp
       // for a power-of-two scale, without the libm call).
       const double u = static_cast<double>(next_word() >> 11) * 0x1.0p-53;
@@ -115,50 +176,6 @@ class SamplerZ {
       base_pos_ = 0;
     }
     return base_ring_[base_pos_++];
-  }
-
-  /// exp(-x) for x >= 0 without the libm round trip: split x = k ln2 + r
-  /// (Cody-Waite two-term reduction, so the reduced argument keeps full
-  /// precision out to the k <= ~75 this sampler ever sees), evaluate a
-  /// degree-16 Taylor Horner chain for exp(-r) on r in [0, ln2)
-  /// (truncation error ln2^17/17! ~= 5.5e-18, below one ulp of the
-  /// result), scale by a bit-assembled 2^-k. Total error a few ulps —
-  /// the same order as the std::exp it replaces, and far below the
-  /// 2^-53 quantization of the uniform the result is compared against.
-  /// x <= 0 returns 1 (accept), matching the std::exp clamp semantics.
-  static double exp_neg(double x) {
-    if (!(x > 0.0)) return 1.0;
-    constexpr double kInvLn2 = 1.4426950408889634074;
-    // ln2 split with 27 zero low bits in the high part: kd (integral,
-    // < 2^10 here) times kLn2Hi is exact, so r carries no cancellation
-    // error from the reduction.
-    constexpr double kLn2Hi = 0x1.62e42fefa38p-1;
-    constexpr double kLn2Lo = 0x1.ef35793c7673p-45;
-    const double kd = std::floor(x * kInvLn2);
-    if (kd >= 1022.0) return 0.0;  // below every representable uniform
-    const double t = -((x - kd * kLn2Hi) - kd * kLn2Lo);  // in (-ln2, 0]
-    double p = 1.0 + t * (1.0 / 16.0);
-    p = 1.0 + t * (1.0 / 15.0) * p;
-    p = 1.0 + t * (1.0 / 14.0) * p;
-    p = 1.0 + t * (1.0 / 13.0) * p;
-    p = 1.0 + t * (1.0 / 12.0) * p;
-    p = 1.0 + t * (1.0 / 11.0) * p;
-    p = 1.0 + t * (1.0 / 10.0) * p;
-    p = 1.0 + t * (1.0 / 9.0) * p;
-    p = 1.0 + t * (1.0 / 8.0) * p;
-    p = 1.0 + t * (1.0 / 7.0) * p;
-    p = 1.0 + t * (1.0 / 6.0) * p;
-    p = 1.0 + t * (1.0 / 5.0) * p;
-    p = 1.0 + t * (1.0 / 4.0) * p;
-    p = 1.0 + t * (1.0 / 3.0) * p;
-    p = 1.0 + t * (1.0 / 2.0) * p;
-    p = 1.0 + t * p;
-    // 2^-k assembled from the exponent field (k in [0, 1021]).
-    const std::uint64_t bits = (1023ull - static_cast<std::uint64_t>(kd))
-                               << 52;
-    double scale;
-    std::memcpy(&scale, &bits, sizeof scale);
-    return p * scale;
   }
 
   std::unique_ptr<ScalarBlockSource> shim_;  // legacy path only

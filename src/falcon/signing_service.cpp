@@ -86,7 +86,7 @@ SigningService::TreeCache::Pinned SigningService::tree_for(const KeyPair& kp) {
     if (kv) {
       if (const auto bytes = kv->get(state_key)) {
         try {
-          TreeRecord rec = decode_tree(*bytes);
+          TreeRecord rec = decode_tree(*bytes, kp.params);
           // The stored (f, g) must match the key in hand — a stale record
           // (re-keyed tenant) or a fingerprint collision falls through to
           // a rebuild, which then overwrites the record.

@@ -34,11 +34,16 @@ void put_cvec(serial::Writer& w, const CVec& v) {
       reinterpret_cast<const double*>(v.data()), 2 * v.size()));
 }
 
-CVec get_cvec(serial::Reader& r, std::size_t n) {
-  const std::vector<double> d = r.f64_bits(2 * n);
+std::vector<double> get_doubles(serial::Reader& r, std::size_t count) {
+  std::vector<double> d = r.f64_bits(count);
   for (double x : d)
     if (!std::isfinite(x))
       throw serial::SerialError("state_codec: non-finite double");
+  return d;
+}
+
+CVec get_cvec(serial::Reader& r, std::size_t n) {
+  const std::vector<double> d = get_doubles(r, 2 * n);
   CVec v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = cplx(d[2 * i], d[2 * i + 1]);
   return v;
@@ -72,47 +77,24 @@ std::uint64_t checked_degree(serial::Reader& r) {
   return n;
 }
 
-// Node layout mirrors the tree shape exactly: a node over dim m writes its
-// l10 spectrum, then either the four leaf widths (m == 1) or its two dim
-// m/2 children — no per-node size fields, the recursion IS the schema.
-void put_node(serial::Writer& w, const FfNode& node, std::size_t m) {
-  CGS_CHECK_MSG(node.l10.size() == m, "state_codec: tree node dim mismatch");
-  put_cvec(w, node.l10);
+// Tree payload layout version: the first word of a kFalconTree payload.
+// Version 1 (unnumbered: its first word was the degree) held full-spectrum
+// pointer-tree nodes; a record in it fails decode and is rebuilt.
+constexpr std::uint64_t kTreeLayout = 2;
+
+// Every leaf width of the subtree over ring size m must lie in [lo, hi];
+// its 1/(2 sigma'^2) is recomputed from sigma' rather than trusted (with
+// the build's own expression, so it is bit-identical to the one encoded).
+void check_leaves(double* node, std::size_t m, double lo, double hi) {
   if (m == 1) {
-    put_double(w, node.sigma0);
-    put_double(w, node.sigma1);
-    put_double(w, node.isq0);
-    put_double(w, node.isq1);
+    const double sigma = node[0];
+    if (!(sigma >= lo && sigma <= hi))
+      throw serial::SerialError("state_codec: leaf sigma outside its range");
+    node[1] = inv_two_sigma_sq(sigma);
     return;
   }
-  CGS_CHECK_MSG(node.child0 && node.child1,
-                "state_codec: interior tree node missing children");
-  put_node(w, *node.child0, m / 2);
-  put_node(w, *node.child1, m / 2);
-}
-
-std::unique_ptr<FfNode> get_node(serial::Reader& r, std::size_t m) {
-  auto node = std::make_unique<FfNode>();
-  node->l10 = get_cvec(r, m);
-  if (m == 1) {
-    node->sigma0 = get_double(r);
-    node->sigma1 = get_double(r);
-    node->isq0 = get_double(r);
-    node->isq1 = get_double(r);
-    if (node->sigma0 <= 0.0 || node->sigma1 <= 0.0)
-      throw serial::SerialError("state_codec: non-positive leaf sigma");
-    return node;
-  }
-  node->child0 = get_node(r, m / 2);
-  node->child1 = get_node(r, m / 2);
-  return node;
-}
-
-std::size_t node_bytes(const FfNode& node) {
-  std::size_t total = sizeof(FfNode) + node.l10.capacity() * sizeof(cplx);
-  if (node.child0) total += node_bytes(*node.child0);
-  if (node.child1) total += node_bytes(*node.child1);
-  return total;
+  check_leaves(node + m, m / 2, lo, hi);
+  check_leaves(node + m + FalconTree::tree_size(m / 2), m / 2, lo, hi);
 }
 
 void put_params(serial::Writer& w, const FalconParams& params) {
@@ -138,10 +120,11 @@ FalconParams get_params(serial::Reader& r) {
 std::vector<std::uint8_t> encode_tree(const KeyPair& kp,
                                       const FalconTree& tree) {
   const std::size_t n = kp.params.n;
-  CGS_CHECK(kp.f.size() == n && kp.g.size() == n && tree.b00().size() == n);
+  CGS_CHECK(kp.f.size() == n && kp.g.size() == n && tree.degree() == n);
   serial::Writer w;
   w.reserve(tree_footprint_bytes(tree) + 16 * n);  // one allocation, not
                                                    // doubling growth
+  w.u64(kTreeLayout);
   w.u64(n);
   put_ipoly(w, kp.f);
   put_ipoly(w, kp.g);
@@ -151,38 +134,45 @@ std::vector<std::uint8_t> encode_tree(const KeyPair& kp,
   put_cvec(w, tree.b11());
   put_double(w, tree.min_leaf_sigma());
   put_double(w, tree.max_leaf_sigma());
-  put_node(w, tree.root(), n);
+  w.f64_bits(tree.nodes());
   return serial::wrap(serial::TypeTag::kFalconTree, w.take());
 }
 
-TreeRecord decode_tree(std::span<const std::uint8_t> frame) {
+TreeRecord decode_tree(std::span<const std::uint8_t> frame,
+                       const FalconParams& params) {
   serial::Reader r(serial::unwrap(frame, serial::TypeTag::kFalconTree));
+  if (r.u64() != kTreeLayout)
+    throw serial::SerialError("state_codec: unknown tree layout version");
   const auto n = static_cast<std::size_t>(checked_degree(r));
+  if (n != params.n)
+    throw serial::SerialError("state_codec: tree degree mismatch");
   TreeRecord rec;
   rec.f = get_ipoly(r, n);
   rec.g = get_ipoly(r, n);
-  CVec b00 = get_cvec(r, n);
-  CVec b01 = get_cvec(r, n);
-  CVec b10 = get_cvec(r, n);
-  CVec b11 = get_cvec(r, n);
+  const std::size_t h = packed_size(n);
+  CVec b00 = get_cvec(r, h);
+  CVec b01 = get_cvec(r, h);
+  CVec b10 = get_cvec(r, h);
+  CVec b11 = get_cvec(r, h);
   const double min_sigma = get_double(r);
   const double max_sigma = get_double(r);
-  if (min_sigma <= 0.0 || min_sigma > max_sigma)
+  if (!(min_sigma >= params.sigma_min && min_sigma <= max_sigma &&
+        max_sigma <= params.sigma_max))
     throw serial::SerialError("state_codec: implausible leaf sigma range");
-  std::unique_ptr<FfNode> root = get_node(r, n);
+  std::vector<double> nodes = get_doubles(r, FalconTree::tree_size(n));
   r.finish();
+  check_leaves(nodes.data(), n, min_sigma, max_sigma);
   rec.tree = std::make_shared<FalconTree>(FalconTree::from_parts(
-      std::move(root), std::move(b00), std::move(b01), std::move(b10),
+      n, std::move(nodes), std::move(b00), std::move(b01), std::move(b10),
       std::move(b11), min_sigma, max_sigma));
   return rec;
 }
 
 std::size_t tree_footprint_bytes(const FalconTree& tree) {
-  return sizeof(FalconTree) +
+  return sizeof(FalconTree) + tree.nodes().size() * sizeof(double) +
          (tree.b00().capacity() + tree.b01().capacity() +
           tree.b10().capacity() + tree.b11().capacity()) *
-             sizeof(cplx) +
-         node_bytes(tree.root());
+             sizeof(cplx);
 }
 
 std::vector<std::uint8_t> encode_ntt_key(const NttKeyRecord& rec) {

@@ -42,13 +42,18 @@ struct TreeRecord {
 std::vector<std::uint8_t> encode_tree(const KeyPair& kp,
                                       const FalconTree& tree);
 
-/// Decode a kFalconTree frame. Throws serial::SerialError on any
-/// malformed, truncated or corrupted input (callers treat that as a cache
-/// miss and rebuild).
-TreeRecord decode_tree(std::span<const std::uint8_t> frame);
+/// Decode a kFalconTree frame for a key with `params`. Throws
+/// serial::SerialError on any malformed, truncated or corrupted input, on
+/// a record in an older tree layout, on a degree other than params.n, and
+/// on a leaf width outside the record's [min, max] or outside
+/// [params.sigma_min, params.sigma_max] (callers treat all of them as a
+/// cache miss and rebuild). Each leaf's 1/(2 sigma'^2) is recomputed from
+/// its sigma', not read.
+TreeRecord decode_tree(std::span<const std::uint8_t> frame,
+                       const FalconParams& params);
 
-/// Approximate resident bytes of a tree (nodes + spectra + basis rows) —
-/// the cost a BoundedCache byte budget charges for it.
+/// Resident bytes of a tree (flat node buffer + basis rows) — the cost a
+/// BoundedCache byte budget charges for it.
 std::size_t tree_footprint_bytes(const FalconTree& tree);
 
 /// The NTT-domain verification state for one public key, exactly the

@@ -1,5 +1,6 @@
-// Negacyclic FFT and NTT: roundtrips, agreement with schoolbook ring
-// multiplication, split/merge identities, adjoint semantics.
+// Negacyclic FFT (Hermitian-packed) and NTT: roundtrips, agreement with
+// schoolbook ring multiplication, split/merge identities, evaluation
+// points, adjoint semantics.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +40,7 @@ class FftSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftSizes, RoundTrip) {
   const auto p = random_poly(GetParam(), 1);
-  const auto back = ifft(fft(p));
+  const auto back = ifft(fft(p), p.size());
   ASSERT_EQ(back.size(), p.size());
   for (std::size_t i = 0; i < p.size(); ++i)
     EXPECT_NEAR(back[i], p[i], 1e-9);
@@ -48,7 +49,7 @@ TEST_P(FftSizes, RoundTrip) {
 TEST_P(FftSizes, MulMatchesSchoolbook) {
   const auto a = random_poly(GetParam(), 2);
   const auto b = random_poly(GetParam(), 3);
-  const auto via_fft = ifft(mul_fft(fft(a), fft(b)));
+  const auto via_fft = ifft(mul_fft(fft(a), fft(b)), a.size());
   const auto direct = negacyclic_schoolbook(a, b);
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_NEAR(via_fft[i], direct[i], 1e-7) << i;
@@ -59,7 +60,8 @@ TEST_P(FftSizes, SplitMergeRoundTrip) {
   const CVec f = fft(random_poly(GetParam(), 4));
   CVec f0, f1;
   split_fft(f, f0, f1);
-  const CVec back = merge_fft(f0, f1);
+  CVec back(f.size());
+  merge_fft(f0, f1, back);
   for (std::size_t i = 0; i < f.size(); ++i) {
     EXPECT_NEAR(back[i].real(), f[i].real(), 1e-9);
     EXPECT_NEAR(back[i].imag(), f[i].imag(), 1e-9);
@@ -71,8 +73,8 @@ TEST_P(FftSizes, SplitExtractsEvenOddCoefficients) {
   const auto p = random_poly(GetParam(), 5);
   CVec f0, f1;
   split_fft(fft(p), f0, f1);
-  const auto even = ifft(f0);
-  const auto odd = ifft(f1);
+  const auto even = ifft(f0, p.size() / 2);
+  const auto odd = ifft(f1, p.size() / 2);
   for (std::size_t i = 0; i < p.size() / 2; ++i) {
     EXPECT_NEAR(even[i], p[2 * i], 1e-9);
     EXPECT_NEAR(odd[i], p[2 * i + 1], 1e-9);
@@ -83,13 +85,35 @@ INSTANTIATE_TEST_SUITE_P(Pow2, FftSizes,
                          ::testing::Values(1, 2, 4, 16, 64, 256, 1024));
 
 TEST(Fft, EvaluatesAtOddRoots) {
-  // f(x) = x: spectrum must be exactly the roots.
+  // f(x) = x: the packed spectrum must be exactly the roots of the upper
+  // half plane, in order.
   std::vector<double> x = {0, 1, 0, 0};
   const CVec s = fft(x);
-  for (std::size_t k = 0; k < 4; ++k) {
+  ASSERT_EQ(s.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
     const cplx z = root_of_unity(4, k);
     EXPECT_NEAR(s[k].real(), z.real(), 1e-12);
     EXPECT_NEAR(s[k].imag(), z.imag(), 1e-12);
+  }
+}
+
+TEST(Fft, PackedHalfDeterminesTheConjugateHalf) {
+  // Direct evaluation at all m roots: slot k holds f(zeta_k), and the
+  // unstored f(zeta_{m-1-k}) is its conjugate.
+  const std::size_t m = 32;
+  const auto p = random_poly(m, 7);
+  const CVec s = fft(p);
+  ASSERT_EQ(s.size(), m / 2);
+  const auto eval = [&p](cplx z) {
+    cplx acc = 0.0;
+    for (std::size_t i = p.size(); i-- > 0;) acc = acc * z + p[i];
+    return acc;
+  };
+  for (std::size_t k = 0; k < m / 2; ++k) {
+    const cplx at_k = eval(root_of_unity(m, k));
+    const cplx mirror = eval(root_of_unity(m, m - 1 - k));
+    EXPECT_NEAR(std::abs(s[k] - at_k), 0.0, 1e-9) << k;
+    EXPECT_NEAR(std::abs(std::conj(s[k]) - mirror), 0.0, 1e-9) << k;
   }
 }
 

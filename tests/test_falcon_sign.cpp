@@ -1,9 +1,13 @@
 // Signing and verification end to end, with every base sampler of Table 1,
-// plus SamplerZ distribution checks, hash-to-point, and the codec.
+// plus pinned signature digests, SamplerZ distribution checks, its
+// exponential, hash-to-point, and the codec.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "cdt/cdt_samplers.h"
@@ -13,6 +17,7 @@
 #include "falcon/verify.h"
 #include "prng/chacha20.h"
 #include "prng/splitmix.h"
+#include "stats/acceptance.h"
 
 namespace cgs::falcon {
 namespace {
@@ -101,6 +106,46 @@ TEST(Sign, SignatureNormWellBelowBound) {
   EXPECT_LT(norm_sq(sig.s1), kp.params.bound_sq());
 }
 
+// FNV-1a over nonce || s1 of every signature in order.
+void mix_signature(std::uint64_t& h, const Signature& sig) {
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  for (const std::uint8_t b : sig.nonce) byte(b);
+  for (const std::int32_t c : sig.s1) {
+    const auto v = static_cast<std::uint32_t>(c);
+    for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(Sign, OutputPinnedAcrossPackedFft) {
+  // Golden digests of 32 signatures per degree for fixed keygen and
+  // signing seeds, through the scalar-shim Signer (no compiled kernel).
+  // The FFT layout, the tree layout and the exponential only move
+  // centers and widths by rounding (~1e-12), which flips a draw with
+  // negligible probability, so a mismatch means a bug.
+  struct Pin {
+    std::size_t n;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {{256, 0x3284aea2612f774cull},
+                     {512, 0xb6699ccdc148c204ull}};
+  auto& f = fixture();
+  for (const Pin& pin : pins) {
+    prng::ChaCha20Source key_rng(41);
+    const KeyPair kp = keygen(FalconParams::for_degree(pin.n), key_rng);
+    cdt::CdtBinarySearchSampler base(f.table);
+    Signer signer(kp, base);
+    prng::ChaCha20Source rng(42);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 32; ++i)
+      mix_signature(h, signer.sign("pinned #" + std::to_string(i), rng));
+    EXPECT_EQ(h, pin.digest)
+        << "n=" << pin.n << std::hex << " digest=0x" << h;
+  }
+}
+
 TEST(Tree, LeafSigmasInsideEnvelope) {
   const FalconTree tree(shared_key());
   EXPECT_GE(tree.min_leaf_sigma(), shared_key().params.sigma_min);
@@ -144,6 +189,83 @@ TEST(SamplerZ, RejectsSigmaAboveBase) {
   SamplerZ sz(base, 2.0);
   prng::SplitMix64Source rng(10);
   EXPECT_THROW((void)sz.sample(0.0, 2.5, rng), Error);
+}
+
+TEST(SamplerZ, DistributionPerCell) {
+  // 200k draws per (fractional center, width) cell over Falcon-512's leaf
+  // envelope: chi-square against the ideal D_{Z, sigma', c}, plus a Renyi
+  // bound on the empirical pmf. Guards the acceptance exponential.
+  const FalconParams params = FalconParams::for_degree(512);
+  const double widths[] = {params.sigma_min,
+                           (params.sigma_min + params.sigma_max) / 2,
+                           params.sigma_max};
+  auto& f = fixture();
+  cdt::CdtBinarySearchSampler base(f.table);
+  SamplerZ sz(base, 2.0);
+  prng::SplitMix64Source rng(12);
+  sz.bind(rng);
+  constexpr int kDraws = 200000;
+  constexpr std::int32_t kLo = -16, kHi = 17;
+  const stats::AcceptanceBounds bounds;
+  for (const double r : {0.0, 0.5, 0.99}) {
+    for (const double sigma : widths) {
+      std::vector<std::uint64_t> counts(kHi - kLo + 1, 0);
+      for (int i = 0; i < kDraws; ++i) {
+        const std::int32_t z = sz.sample(r, sigma);
+        ASSERT_GE(z, kLo);
+        ASSERT_LE(z, kHi);
+        ++counts[static_cast<std::size_t>(z - kLo)];
+      }
+      const stats::SignedPmf ideal =
+          stats::ideal_gaussian_pmf(sigma, r, kLo, kHi);
+      const stats::ChiSquareResult chi = stats::chi_square(counts, ideal.probs);
+      EXPECT_GE(chi.p_value, bounds.min_chi_p)
+          << "r=" << r << " sigma=" << sigma << " stat=" << chi.statistic;
+      stats::SignedPmf observed{kLo, {}};
+      for (const std::uint64_t c : counts)
+        observed.probs.push_back(static_cast<double>(c) / kDraws);
+      EXPECT_LE(stats::renyi_divergence(observed, ideal, bounds.renyi_alpha),
+                bounds.max_renyi)
+          << "r=" << r << " sigma=" << sigma;
+    }
+  }
+}
+
+// Distance in units in the last place between two positive finite doubles.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(ExpNeg, WithinFourUlpOfStdExp) {
+  std::uint64_t worst = 0;
+  for (int i = 0; i <= 640000; ++i) {  // [0, 64] in steps of 1e-4
+    const double x = i * 1e-4;
+    worst = std::max(worst, ulp_distance(detail::exp_neg(x), std::exp(-x)));
+  }
+  std::mt19937_64 gen(16);
+  std::uniform_real_distribution<double> d(0.0, 700.0);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = d(gen);
+    worst = std::max(worst, ulp_distance(detail::exp_neg(x), std::exp(-x)));
+  }
+  EXPECT_LE(worst, 4u);
+}
+
+TEST(ExpNeg, NonPositiveAndNanReturnExactlyOne) {
+  for (const double x : {0.0, -0.0, -1e-300, -0.5, -700.0, -1e308,
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_EQ(detail::exp_neg(x), 1.0) << x;
+  // Far past the cap the result stays positive and below every nonzero
+  // 53-bit uniform.
+  for (const double x : {1000.0, 1e308,
+                         std::numeric_limits<double>::infinity()}) {
+    const double v = detail::exp_neg(x);
+    EXPECT_GE(v, 0.0) << x;
+    EXPECT_LT(v, 0x1.0p-53) << x;
+  }
 }
 
 TEST(HashToPoint, DeterministicAndUniform) {

@@ -15,8 +15,10 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -431,17 +433,11 @@ void expect_cvec_bits_equal(const falcon::CVec& a, const falcon::CVec& b) {
   }
 }
 
-void expect_nodes_bits_equal(const falcon::FfNode& a,
-                             const falcon::FfNode& b) {
-  expect_cvec_bits_equal(a.l10, b.l10);
-  EXPECT_EQ(bits(a.sigma0), bits(b.sigma0));
-  EXPECT_EQ(bits(a.sigma1), bits(b.sigma1));
-  EXPECT_EQ(bits(a.isq0), bits(b.isq0));
-  EXPECT_EQ(bits(a.isq1), bits(b.isq1));
-  ASSERT_EQ(a.child0 != nullptr, b.child0 != nullptr);
-  ASSERT_EQ(a.child1 != nullptr, b.child1 != nullptr);
-  if (a.child0) expect_nodes_bits_equal(*a.child0, *b.child0);
-  if (a.child1) expect_nodes_bits_equal(*a.child1, *b.child1);
+void expect_nodes_bits_equal(std::span<const double> a,
+                             std::span<const double> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << i;
 }
 
 TEST(StateCodec, TreeRoundTripIsBitExact) {
@@ -449,7 +445,7 @@ TEST(StateCodec, TreeRoundTripIsBitExact) {
   const falcon::FalconTree built(kp);
   const auto frame = falcon::encode_tree(kp, built);
 
-  const falcon::TreeRecord rec = falcon::decode_tree(frame);
+  const falcon::TreeRecord rec = falcon::decode_tree(frame, kp.params);
   EXPECT_EQ(rec.f, kp.f);
   EXPECT_EQ(rec.g, kp.g);
   ASSERT_NE(rec.tree, nullptr);
@@ -459,7 +455,7 @@ TEST(StateCodec, TreeRoundTripIsBitExact) {
   expect_cvec_bits_equal(rec.tree->b11(), built.b11());
   EXPECT_EQ(bits(rec.tree->min_leaf_sigma()), bits(built.min_leaf_sigma()));
   EXPECT_EQ(bits(rec.tree->max_leaf_sigma()), bits(built.max_leaf_sigma()));
-  expect_nodes_bits_equal(rec.tree->root(), built.root());
+  expect_nodes_bits_equal(rec.tree->nodes(), built.nodes());
 }
 
 TEST(StateCodec, TreeFrameRejectsCorruption) {
@@ -467,9 +463,67 @@ TEST(StateCodec, TreeFrameRejectsCorruption) {
   const falcon::FalconTree built(kp);
   auto frame = falcon::encode_tree(kp, built);
   frame[frame.size() / 2] ^= 0x40;
-  EXPECT_THROW(falcon::decode_tree(frame), serial::SerialError);
-  EXPECT_THROW(falcon::decode_tree(std::span(frame.data(), 10)),
+  EXPECT_THROW(falcon::decode_tree(frame, kp.params), serial::SerialError);
+  EXPECT_THROW(falcon::decode_tree(std::span(frame.data(), 10), kp.params),
                serial::SerialError);
+}
+
+// The payload of a kFalconTree frame with the last 8-byte-aligned word
+// equal to `from` replaced by `to`, re-wrapped so the checksum is valid:
+// tampering that only a field-level check can catch.
+std::vector<std::uint8_t> rewrap_with_last_word_replaced(
+    std::span<const std::uint8_t> frame, double from, double to) {
+  const auto view = serial::unwrap(frame, serial::TypeTag::kFalconTree);
+  std::vector<std::uint8_t> payload(view.begin(), view.end());
+  const std::uint64_t needle = bits(from), repl = bits(to);
+  std::size_t at = payload.size();
+  for (std::size_t i = 0; i + 8 <= payload.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, payload.data() + i, 8);
+    if (w == needle) at = i;
+  }
+  EXPECT_LT(at, payload.size()) << "value not found in the payload";
+  if (at < payload.size()) std::memcpy(payload.data() + at, &repl, 8);
+  return serial::wrap(serial::TypeTag::kFalconTree, std::move(payload));
+}
+
+TEST(StateCodec, TamperedLeafWidthIsRejected) {
+  // A checksum-valid record whose leaf sigma' sits above the sigma = 2
+  // base sampler: every sign for that tenant would throw in SamplerZ (or,
+  // under the record's max, sample the wrong width) and the record would
+  // never be rebuilt. The max leaf width occurs in the header and in a
+  // leaf; the last occurrence is the leaf.
+  const falcon::KeyPair& kp = codec_key();
+  const falcon::FalconTree built(kp);
+  const auto frame = falcon::encode_tree(kp, built);
+  const auto above_base =
+      rewrap_with_last_word_replaced(frame, built.max_leaf_sigma(), 2.5);
+  EXPECT_THROW(falcon::decode_tree(above_base, kp.params),
+               serial::SerialError);
+  const auto below_min = rewrap_with_last_word_replaced(
+      frame, built.max_leaf_sigma(), built.min_leaf_sigma() * 0.99);
+  EXPECT_THROW(falcon::decode_tree(below_min, kp.params),
+               serial::SerialError);
+  // The untampered record fails too against a tighter params envelope.
+  falcon::FalconParams tight = kp.params;
+  tight.sigma_max = built.max_leaf_sigma() * 0.999;
+  EXPECT_THROW(falcon::decode_tree(frame, tight), serial::SerialError);
+  // And against another degree.
+  EXPECT_THROW(
+      falcon::decode_tree(frame, falcon::FalconParams::for_degree(128)),
+      serial::SerialError);
+}
+
+TEST(StateCodec, DecodeRecomputesLeafInverseWidths) {
+  // A record whose 1/(2 sigma'^2) disagrees with its sigma' decodes to the
+  // tree that was built: the inverse width is derived, not trusted.
+  const falcon::KeyPair& kp = codec_key();
+  const falcon::FalconTree built(kp);
+  const double sigma = built.max_leaf_sigma();
+  const auto frame = rewrap_with_last_word_replaced(
+      falcon::encode_tree(kp, built), 1.0 / (2.0 * sigma * sigma), 0.25);
+  const falcon::TreeRecord rec = falcon::decode_tree(frame, kp.params);
+  expect_nodes_bits_equal(rec.tree->nodes(), built.nodes());
 }
 
 TEST(StateCodec, NttKeyRoundTripIsExact) {
@@ -589,6 +643,56 @@ TEST(ServiceWarmStart, SigningWarmStartsAcrossProcessRestart) {
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.warm_starts, 1u);
   }
+}
+
+// A structurally valid kFalconTree frame in the first tree layout: the
+// degree as first word, full (not packed) basis spectra and a pointer-tree
+// node walk of l10 spectra and four leaf doubles per ring-size-1 node.
+std::vector<std::uint8_t> first_layout_tree_frame(const falcon::KeyPair& kp) {
+  serial::Writer w;
+  const std::size_t n = kp.params.n;
+  w.u64(n);
+  for (const falcon::IPoly* p : {&kp.f, &kp.g})
+    w.u32s(std::span<const std::uint32_t>(
+        reinterpret_cast<const std::uint32_t*>(p->data()), n));
+  const std::vector<double> zeros(2 * n, 0.0);
+  for (int row = 0; row < 4; ++row) w.f64_bits(zeros);
+  w.u64(bits(1.5));  // min leaf sigma
+  w.u64(bits(1.5));  // max leaf sigma
+  const auto put_node = [&](auto&& self, std::size_t m) -> void {
+    w.f64_bits(std::span<const double>(zeros.data(), 2 * m));
+    if (m == 1) {
+      for (const double v : {1.5, 1.5, 0.2, 0.2}) w.u64(bits(v));
+      return;
+    }
+    self(self, m / 2);
+    self(self, m / 2);
+  };
+  put_node(put_node, n);
+  return serial::wrap(serial::TypeTag::kFalconTree, w.take());
+}
+
+TEST(ServiceWarmStart, FirstLayoutTreeRecordIsRebuiltAndOverwritten) {
+  const falcon::KeyPair kp = keygen_for_seed(606);
+  KvStore kv({.dir = fresh_dir("sign-old-layout")});
+  const std::string key = falcon::tree_state_key(falcon::key_fingerprint(kp));
+  kv.put(key, first_layout_tree_frame(kp));
+
+  falcon::SigningOptions opts;
+  opts.num_threads = 1;
+  opts.root_seed = 11;
+  opts.key_state = &kv;
+  falcon::SigningService svc(shared_registry(), opts);
+  const falcon::Signature sig = svc.sign(kp, "after an upgrade");
+  EXPECT_EQ(svc.tree_cache_stats().warm_starts, 0u);  // rebuilt, not decoded
+  falcon::Verifier verifier(kp.h, kp.params);
+  EXPECT_TRUE(verifier.verify("after an upgrade", sig));
+
+  // The record was overwritten in the current layout and now decodes.
+  const auto bytes = kv.get(key);
+  ASSERT_TRUE(bytes.has_value());
+  const falcon::TreeRecord rec = falcon::decode_tree(*bytes, kp.params);
+  expect_nodes_bits_equal(rec.tree->nodes(), falcon::FalconTree(kp).nodes());
 }
 
 TEST(ServiceWarmStart, VerificationIsIdenticalUnderEvictionChurn) {
