@@ -1,12 +1,12 @@
 #pragma once
 // EngineBlockSource: the production BlockSource — base-sample refills are
 // served by a SamplerEngine (one request fans out across every lane of the
-// selected backend and, on multi-worker engines, every worker at once), and
+// selected backend and, on multi-slot engines, every slot at once), and
 // uniform words come from a dedicated ChaCha20 stream so rejection uniforms
-// and nonces never perturb the engine's per-worker netlist streams. One
-// instance per consumer thread; the engine itself may be shared (its
-// sample() serializes internally) but sharing forfeits per-consumer
-// determinism — the SigningService gives each worker a private engine.
+// and nonces never perturb the engine's per-slot netlist streams. One
+// instance per consumer; the engine itself may be shared (its sample()
+// serializes internally) but sharing forfeits per-consumer determinism —
+// the SigningService gives each slot a private engine.
 
 #include <cstdint>
 

@@ -1,29 +1,29 @@
 #pragma once
 // SamplerEngine: the online half of the offline/online split — a batch
-// sampling service over one synthesized netlist. Every worker runs the one
+// sampling service over one synthesized netlist. Every slot runs the one
 // 256-lane runner (ct::BatchSampler<Word256>) with the fastest evaluator
 // available on this machine: compiled ▸ interpreted. Compiled is the
 // CompiledKernel's 256-lane entry point (the netlist emitted as C and
 // host-compiled, with -march=native when the flag exists); a host without
 // a compiler, or whose compiler rejects GCC vector extensions, gets the
-// interpreted netlist on the same 256-lane word. Bulk requests are served
-// from N worker threads. Each worker owns an independent ChaCha20 stream
-// whose key is derived from the engine's root seed and the worker index
-// (SplitMix64 mixing), so output is fully deterministic for a fixed
-// (root_seed, num_threads, request size), no two workers ever share PRNG
-// state, and both evaluators emit the same stream. The compiled kernel is
-// loaded once and shared by all workers (its eval is stateless) — from the
-// registry's per-machine kernel cache when EngineOptions::registry is set.
+// interpreted netlist on the same 256-lane word. A bulk request is split
+// into one slice per slot and the slices run as one batch on the
+// process-wide executor (common/task_crew.h). Each slot owns an
+// independent ChaCha20 stream whose key is derived from the engine's root
+// seed and the slot index (SplitMix64 mixing), and slice i is always drawn
+// from slot i's stream, whichever thread runs it. Output is therefore fully
+// deterministic for a fixed (root_seed, num_threads, request size), no two
+// slots ever share PRNG state, and both evaluators emit the same stream.
+// The compiled kernel is loaded once and shared by all slots (its eval is
+// stateless) — from the registry's per-machine kernel cache when
+// EngineOptions::registry is set.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ct/synthesis.h"
@@ -46,8 +46,10 @@ const char* backend_name(Backend b);
 
 struct EngineOptions {
   Backend backend = Backend::kAuto;
-  int num_threads = 0;          // 0 -> hardware concurrency (min 1)
-  std::uint64_t root_seed = 0;  // per-worker streams derived from this
+  /// Slots: independent streams a bulk request is split across (0 ->
+  /// hardware concurrency, min 1). Threads come from the shared executor.
+  int num_threads = 0;
+  std::uint64_t root_seed = 0;  // per-slot streams derived from this
   /// Where the compiled backend gets its kernel: the registry's memoized,
   /// disk-cached kernel() when set (compiling the netlist C takes seconds
   /// for large supports, so services share one per netlist and machine);
@@ -67,14 +69,13 @@ class SamplerEngine {
 
   /// The backend actually selected (never kAuto).
   Backend backend() const { return backend_; }
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return static_cast<int>(slots_.size()); }
   const ct::SynthesizedSampler& synth() const { return *synth_; }
 
   /// Fill `out` with signed base-Gaussian samples, the request split evenly
-  /// across the persistent worker pool (requests smaller than one batch per
-  /// worker are served inline on the calling thread). Each worker continues
-  /// its own PRNG stream across calls. Concurrent calls are serialized
-  /// internally.
+  /// across the slots (requests smaller than one batch per slot are served
+  /// inline from slot 0). Each slot continues its own PRNG stream across
+  /// calls. Concurrent calls are serialized internally.
   void sample(std::span<std::int32_t> out);
   std::vector<std::int32_t> sample(std::size_t n);
 
@@ -85,24 +86,14 @@ class SamplerEngine {
   }
 
  private:
-  struct Worker;
-  friend struct Worker;
+  struct Slot;
 
   std::shared_ptr<const ct::SynthesizedSampler> synth_;
   Backend backend_;
-  std::shared_ptr<const ct::CompiledKernel> kernel_;  // shared by all workers
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::shared_ptr<const ct::CompiledKernel> kernel_;  // shared by all slots
+  std::vector<std::unique_ptr<Slot>> slots_;
   std::mutex mu_;  // serializes sample() calls
   std::atomic<std::uint64_t> total_samples_{0};
-
-  // Persistent pool handshake (threads live for the engine's lifetime; a
-  // spawn-per-request design would pay thread create+join on every call).
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_, done_cv_;
-  std::uint64_t generation_ = 0;  // bumped once per dispatched request
-  std::size_t pending_ = 0;
-  std::exception_ptr pool_error_;  // first worker failure, rethrown by sample()
-  bool stopping_ = false;
 };
 
 }  // namespace cgs::engine

@@ -74,7 +74,6 @@ GaussianService::Stream& GaussianService::stream_for(double sigma,
 void GaussianService::sample(double sigma, double center,
                              std::span<std::int32_t> out) {
   if (out.empty()) return;
-  samples_served_.fetch_add(out.size(), std::memory_order_relaxed);
   Stream& s = stream_for(sigma, center);
   std::lock_guard<std::mutex> lock(s.mu);
   for (std::size_t pos = 0; pos < out.size(); pos += kMaxChunk) {
@@ -86,6 +85,9 @@ void GaussianService::sample(double sigma, double center,
     s.eng2->sample(s.buf2);
     s.convolver.combine(s.buf1, s.buf2, s.rounding, dst);
   }
+  // Counted only once every sample exists: a request that fails (planning
+  // rejects the target, say) served nothing.
+  samples_served_.fetch_add(out.size(), std::memory_order_relaxed);
 }
 
 std::vector<std::int32_t> GaussianService::sample(double sigma, double center,

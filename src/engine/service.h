@@ -36,7 +36,7 @@ namespace cgs::engine {
 
 struct ServiceOptions {
   Backend backend = Backend::kAuto;
-  int num_threads = 0;          // 0 -> hardware concurrency (min 1)
+  int num_threads = 0;          // slots per engine; 0 -> hardware concurrency
   std::uint64_t root_seed = 0;  // per-stream seeds derived from this
   double smoothing_eps = gauss::kDefaultSmoothingEps;
   int base_precision = 64;      // precision of the candidate base samplers
@@ -65,7 +65,8 @@ class GaussianService {
   /// Number of distinct targets materialized so far.
   std::size_t num_streams() const;
 
-  /// Lifetime count of samples handed out across every target.
+  /// Lifetime count of samples handed out across every target (failed
+  /// requests count nothing).
   std::uint64_t samples_served() const {
     return samples_served_.load(std::memory_order_relaxed);
   }

@@ -15,7 +15,7 @@
 // is how the CDT variants still plug in.
 //
 // Threading contract: a SamplerZ is single-consumer. The stats counters
-// are plain per-instance fields — the SigningService gives every worker
+// are plain per-instance fields — the SigningService gives every slot
 // its own SamplerZ and aggregates base_calls()/rejections() on demand
 // while no request is in flight, so there is no shared mutable state to
 // race on (and no atomics on the hot path).

@@ -1,10 +1,11 @@
 #include "falcon/signing_service.h"
 
 #include <cstring>
-#include <exception>
+#include <functional>
 #include <thread>
 
 #include "common/check.h"
+#include "common/task_crew.h"
 #include "falcon/state_codec.h"
 #include "gauss/params.h"
 #include "prng/splitmix.h"
@@ -53,29 +54,28 @@ SigningService::SigningService(engine::SamplerRegistry& registry,
       registry.get(gauss::GaussianParams::sigma_2(options_.precision));
 
   // SplitMix64 over the root seed: independent (engine, word) seed pairs
-  // per worker, so streams never overlap and adding workers only extends
-  // the derivation sequence.
+  // per slot, so streams never overlap and adding slots only extends the
+  // derivation sequence.
   prng::SplitMix64Source seeder(options_.root_seed);
   for (int t = 0; t < threads; ++t) {
     const std::uint64_t engine_seed = seeder.next_word();
     const std::uint64_t word_seed = seeder.next_word();
-    auto worker = std::make_unique<Worker>();
+    auto slot = std::make_unique<Slot>();
     engine::EngineOptions eng;
     eng.backend = options_.backend;
     eng.num_threads = 1;  // the service owns the fan-out, not the engine
     eng.root_seed = engine_seed;
-    eng.registry = &registry;  // one kernel per machine, shared by workers
-    worker->engine = std::make_unique<engine::SamplerEngine>(synth, eng);
-    worker->source = std::make_unique<engine::EngineBlockSource>(
-        *worker->engine, word_seed, options_.block);
-    worker->samplerz =
-        std::make_unique<SamplerZ>(*worker->source, kSigmaBase);
-    workers_.push_back(std::move(worker));
+    eng.registry = &registry;  // one kernel per machine, shared by slots
+    slot->engine = std::make_unique<engine::SamplerEngine>(synth, eng);
+    slot->source = std::make_unique<engine::EngineBlockSource>(
+        *slot->engine, word_seed, options_.block);
+    slot->samplerz = std::make_unique<SamplerZ>(*slot->source, kSigmaBase);
+    slots_.push_back(std::move(slot));
   }
 }
 
 engine::Backend SigningService::backend() const {
-  return workers_.front()->engine->backend();
+  return slots_.front()->engine->backend();
 }
 
 SigningService::TreeCache::Pinned SigningService::tree_for(const KeyPair& kp) {
@@ -117,33 +117,37 @@ SigningService::TreeCache::Pinned SigningService::tree_for(const KeyPair& kp) {
   return pinned;
 }
 
-std::vector<SigningService::Worker*> SigningService::checkout(
-    std::size_t want) {
+std::vector<SigningService::Slot*> SigningService::checkout(std::size_t want) {
   std::unique_lock<std::mutex> lock(pool_mu_);
   pool_cv_.wait(lock, [this] {
-    for (const auto& w : workers_)
-      if (!w->busy) return true;
+    for (const auto& slot : slots_)
+      if (!slot->busy) return true;
     return false;
   });
-  std::vector<Worker*> taken;
-  for (const auto& w : workers_) {
+  std::vector<Slot*> taken;
+  for (const auto& slot : slots_) {
     if (taken.size() == want) break;
-    if (!w->busy) {
-      w->busy = true;
-      taken.push_back(w.get());
+    if (!slot->busy) {
+      slot->busy = true;
+      taken.push_back(slot.get());
     }
   }
   return taken;
 }
 
-void SigningService::checkin(std::span<Worker* const> taken) {
+void SigningService::checkin(std::span<Slot* const> taken,
+                             std::span<const SignStats> call_stats) {
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
-    for (Worker* w : taken) {
-      // Publish the live SamplerZ counters now that no thread drives them.
-      w->base_calls = w->samplerz->base_calls();
-      w->rejections = w->samplerz->rejections();
-      w->busy = false;
+    for (std::size_t t = 0; t < taken.size(); ++t) {
+      // Publish the live counters now that no call drives them.
+      Slot& slot = *taken[t];
+      slot.base_calls = slot.samplerz->base_calls();
+      slot.rejections = slot.samplerz->rejections();
+      slot.totals.attempts += call_stats[t].attempts;
+      slot.totals.samplerz_calls += call_stats[t].samplerz_calls;
+      slot.totals.base_samples += call_stats[t].base_samples;
+      slot.busy = false;
     }
   }
   pool_cv_.notify_all();
@@ -159,60 +163,40 @@ std::vector<Signature> SigningService::sign_many(
   std::vector<Signature> out(messages.size());
   if (messages.empty()) return out;
 
-  // Take whatever is free, at most one worker per message — the pool lock
+  // Take whatever is free, at most one slot per message — the slot lock
   // is never held across the signing itself, so a batch on another key
-  // only ever waits for one worker to come back, not for a whole batch.
-  // An uncontended caller gets workers 0..k-1 in index order and message
-  // i pinned to worker i % k — the deterministic single-caller contract.
-  const std::vector<Worker*> taken =
-      checkout(std::min(workers_.size(), messages.size()));
-  struct CheckinGuard {
-    SigningService* svc;
-    std::span<Worker* const> taken;
-    ~CheckinGuard() { svc->checkin(taken); }
-  } guard{this, taken};
+  // only ever waits for one slot to come back, not for a whole batch.
+  // An uncontended caller gets slots 0..k-1 in index order and message
+  // i pinned to slot i % k — the deterministic single-caller contract.
+  const std::vector<Slot*> taken =
+      checkout(std::min(slots_.size(), messages.size()));
   const std::size_t k = taken.size();
   std::vector<SignStats> call_stats(k);
-  std::vector<std::exception_ptr> errors(k);
-  const auto run_slice = [&](std::size_t t) {
-    try {
-      Worker& w = *taken[t];
+  struct CheckinGuard {
+    SigningService* svc;
+    std::span<Slot* const> taken;
+    std::span<const SignStats> call_stats;
+    ~CheckinGuard() { svc->checkin(taken, call_stats); }
+  } guard{this, taken, call_stats};
+
+  // Slice t runs on slot t's state, whichever executor thread picks it up.
+  std::vector<std::function<void()>> slices;
+  slices.reserve(k);
+  for (std::size_t t = 0; t < k; ++t)
+    slices.push_back([&, t] {
+      Slot& slot = *taken[t];
       for (std::size_t i = t; i < messages.size(); i += k)
-        out[i] = sign_with(kp, tree, messages[i], *w.samplerz, w.scratch,
+        out[i] = sign_with(kp, tree, messages[i], *slot.samplerz, slot.scratch,
                            &call_stats[t]);
-    } catch (...) {
-      errors[t] = std::current_exception();
-    }
-  };
+    });
+  TaskCrew::shared().run(std::move(slices));
 
-  // Threads are spawned per request (worker *state* persists; only the
-  // OS threads are fresh). Spawn cost is ~100us per thread against
-  // multi-ms batch slices, so a parked pool (as SamplerEngine keeps) only
-  // starts paying for itself under many-thread, tiny-batch workloads —
-  // revisit if that shape shows up.
-  std::vector<std::thread> threads;
-  threads.reserve(k > 0 ? k - 1 : 0);
-  for (std::size_t t = 1; t < k; ++t) threads.emplace_back(run_slice, t);
-  run_slice(0);
-  for (auto& th : threads) th.join();
-
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    for (std::size_t t = 0; t < k; ++t) {
-      const SignStats& cs = call_stats[t];
-      Worker& w = *taken[t];
-      w.totals.attempts += cs.attempts;
-      w.totals.samplerz_calls += cs.samplerz_calls;
-      w.totals.base_samples += cs.base_samples;
-      if (stats) {
-        stats->attempts += cs.attempts;
-        stats->samplerz_calls += cs.samplerz_calls;
-        stats->base_samples += cs.base_samples;
-      }
+  if (stats)
+    for (const SignStats& cs : call_stats) {
+      stats->attempts += cs.attempts;
+      stats->samplerz_calls += cs.samplerz_calls;
+      stats->base_samples += cs.base_samples;
     }
-  }
-  for (const auto& error : errors)
-    if (error) std::rethrow_exception(error);
   return out;
 }
 
@@ -225,10 +209,10 @@ Signature SigningService::sign(const KeyPair& kp, std::string_view message,
 SignStats SigningService::stats() const {
   std::lock_guard<std::mutex> lock(pool_mu_);
   SignStats total;
-  for (const auto& w : workers_) {
-    total.attempts += w->totals.attempts;
-    total.samplerz_calls += w->totals.samplerz_calls;
-    total.base_samples += w->totals.base_samples;
+  for (const auto& slot : slots_) {
+    total.attempts += slot->totals.attempts;
+    total.samplerz_calls += slot->totals.samplerz_calls;
+    total.base_samples += slot->totals.base_samples;
   }
   return total;
 }
@@ -236,18 +220,18 @@ SignStats SigningService::stats() const {
 std::uint64_t SigningService::base_calls() const {
   std::lock_guard<std::mutex> lock(pool_mu_);
   std::uint64_t total = 0;
-  // Idle workers read the live counter (equal to the snapshot); a busy
-  // worker's in-flight delta lands at its check-in.
-  for (const auto& w : workers_)
-    total += w->busy ? w->base_calls : w->samplerz->base_calls();
+  // Idle slots read the live counter (equal to the snapshot); a busy
+  // slot's in-flight delta lands at its check-in.
+  for (const auto& slot : slots_)
+    total += slot->busy ? slot->base_calls : slot->samplerz->base_calls();
   return total;
 }
 
 std::uint64_t SigningService::rejections() const {
   std::lock_guard<std::mutex> lock(pool_mu_);
   std::uint64_t total = 0;
-  for (const auto& w : workers_)
-    total += w->busy ? w->rejections : w->samplerz->rejections();
+  for (const auto& slot : slots_)
+    total += slot->busy ? slot->rejections : slot->samplerz->rejections();
   return total;
 }
 

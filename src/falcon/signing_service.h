@@ -2,33 +2,35 @@
 // SigningService: the batch-first Falcon signing front end, mirroring
 // engine::GaussianService one layer up. The offline artifacts (synthesized
 // sigma=2 netlist and its compiled kernel via the registry, per-key ffLDL
-// trees) are materialized once and cached; the online path is a pool of
-// stateful workers, each owning a private engine-backed BlockSource,
-// SamplerZ and ffSampling scratch, so sign_many() fans a batch of messages
-// out across threads with zero shared mutable sampling state.
+// trees) are materialized once and cached; the online path is a set of
+// stateful slots, each owning a private engine-backed BlockSource,
+// SamplerZ and ffSampling scratch. sign_many() splits a batch into one
+// slice per slot it holds and runs the slices as one batch on the
+// process-wide executor (common/task_crew.h), with zero shared mutable
+// sampling state.
 //
-// Concurrency: sign_many() holds the pool lock only to check workers out
+// Concurrency: sign_many() holds the slot lock only to check slots out
 // and back in, never across the signing work itself, so two concurrent
 // batches (e.g. the serve::Dispatcher's per-key lanes) overlap: each call
-// takes whatever workers are free — at least one, up to one per message —
+// takes whatever slots are free — at least one, up to one per message —
 // and runs its batch on those while other calls run on the rest.
 //
-// Determinism: worker seeds are derived from (root_seed, worker index) via
-// SplitMix64 and message i is pinned to checked-out worker i % k. A
-// NON-OVERLAPPING caller always finds every worker free, so it checks out
-// workers 0..min(T, batch)-1 in index order and, for a fixed (root_seed,
-// num_threads), the same sequence of sign_many() calls produces
-// bit-identical signatures regardless of scheduling — the original
-// single-caller contract. Overlapping callers split the pool by arrival
-// order, which is inherently scheduling-dependent; every signature is
-// still a valid draw from the signing distribution, just not a replayable
-// one. Two workers never share PRNG state; each worker's streams simply
-// continue across calls and keys.
+// Determinism: slot seeds are derived from (root_seed, slot index) via
+// SplitMix64 and message i is pinned to checked-out slot i % k, whichever
+// OS thread runs that slice. A NON-OVERLAPPING caller always finds every
+// slot free, so it checks out slots 0..min(T, batch)-1 in index order and,
+// for a fixed (root_seed, num_threads), the same sequence of sign_many()
+// calls produces bit-identical signatures regardless of scheduling — the
+// original single-caller contract. Overlapping callers split the slots by
+// arrival order, which is inherently scheduling-dependent; every signature
+// is still a valid draw from the signing distribution, just not a
+// replayable one. Two slots never share PRNG state; each slot's streams
+// simply continue across calls and keys.
 //
-// Stats: every worker accumulates into its own counters (its SamplerZ is
+// Stats: every slot accumulates into its own counters (its SamplerZ is
 // single-consumer by contract) and publishes them into service-level
 // totals at check-in, so stats()/base_calls()/rejections() read under the
-// pool lock without racing in-flight work — they reflect completed
+// slot lock without racing in-flight work — they reflect completed
 // sign_many() calls.
 
 #include <condition_variable>
@@ -57,8 +59,8 @@ std::uint64_t key_fingerprint(const KeyPair& kp);
 
 struct SigningOptions {
   engine::Backend backend = engine::Backend::kAuto;
-  int num_threads = 0;          // 0 -> hardware concurrency (min 1)
-  std::uint64_t root_seed = 0;  // per-worker streams derived from this
+  int num_threads = 0;          // slots; 0 -> hardware concurrency (min 1)
+  std::uint64_t root_seed = 0;  // per-slot streams derived from this
   int precision = 128;          // base sampler probability precision
   std::size_t block = 1024;     // base samples prefetched per ring refill
   /// Budget for the per-key ffLDL tree cache. Default unbounded — the
@@ -78,10 +80,10 @@ class SigningService {
                           SigningOptions options = {});
 
   /// Sign every message in `messages` with `kp`, the batch split across
-  /// the worker pool. Returns signatures in message order. Thread-safe;
-  /// concurrent calls overlap on disjoint worker subsets (each call checks
-  /// out at least one free worker, so a call on one key never waits for a
-  /// whole batch on another key to finish — only for one worker to free
+  /// the slots. Returns signatures in message order. Thread-safe;
+  /// concurrent calls overlap on disjoint slot subsets (each call checks
+  /// out at least one free slot, so a call on one key never waits for a
+  /// whole batch on another key to finish — only for one slot to free
   /// up). `stats`, when non-null, accumulates this call's totals.
   std::vector<Signature> sign_many(const KeyPair& kp,
                                    std::span<const std::string_view> messages,
@@ -91,7 +93,7 @@ class SigningService {
   Signature sign(const KeyPair& kp, std::string_view message,
                  SignStats* stats = nullptr);
 
-  /// Lifetime totals aggregated across all workers.
+  /// Lifetime totals aggregated across all slots.
   SignStats stats() const;
   std::uint64_t base_calls() const;
   std::uint64_t rejections() const;
@@ -103,20 +105,20 @@ class SigningService {
   /// the expensive per-key setup the cache exists to amortize).
   obs::CacheStats tree_cache_stats() const;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return static_cast<int>(slots_.size()); }
   engine::Backend backend() const;
   const SigningOptions& options() const { return options_; }
 
  private:
-  struct Worker {
+  struct Slot {
     std::unique_ptr<engine::SamplerEngine> engine;
     std::unique_ptr<engine::EngineBlockSource> source;
     std::unique_ptr<SamplerZ> samplerz;
     FfScratch scratch;
     bool busy = false;  // guarded by pool_mu_
     // Published-at-check-in lifetime counters, read under pool_mu_. The
-    // live SamplerZ counters belong to the checked-out thread and are only
-    // snapshotted here once the worker is returned.
+    // live SamplerZ counters belong to the checked-out call and are only
+    // snapshotted here once the slot is returned.
     SignStats totals;
     std::uint64_t base_calls = 0;
     std::uint64_t rejections = 0;
@@ -132,14 +134,17 @@ class SigningService {
   /// so a hot tree is never evicted mid-batch.
   TreeCache::Pinned tree_for(const KeyPair& kp);
 
-  /// Blocks until at least one worker is free, then takes up to `want` of
+  /// Blocks until at least one slot is free, then takes up to `want` of
   /// them in index order. Never holds pool_mu_ while signing runs.
-  std::vector<Worker*> checkout(std::size_t want);
-  void checkin(std::span<Worker* const> taken);
+  std::vector<Slot*> checkout(std::size_t want);
+  /// Publishes each taken slot's counters (`call_stats[t]` for taken[t])
+  /// and frees it.
+  void checkin(std::span<Slot* const> taken,
+               std::span<const SignStats> call_stats);
 
   SigningOptions options_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  mutable std::mutex pool_mu_;  // guards Worker::busy + published counters
+  std::vector<std::unique_ptr<Slot>> slots_;
+  mutable std::mutex pool_mu_;  // guards Slot::busy + published counters
   std::condition_variable pool_cv_;
   TreeCache trees_;
 };

@@ -1,13 +1,23 @@
 #include "falcon/verification_service.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "common/check.h"
+#include "common/task_crew.h"
 #include "falcon/state_codec.h"
 #include "serial/serial.h"
 
 namespace cgs::falcon {
+
+namespace {
+
+// Items per verify_many slice, at least: a handful of sub-millisecond
+// checks is cheaper on the calling thread than as an executor task.
+constexpr std::size_t kMinBatchPerSlice = 8;
+
+}  // namespace
 
 std::uint64_t public_key_fingerprint(std::span<const std::uint32_t> h,
                                      const FalconParams& params) {
@@ -34,8 +44,6 @@ VerificationService::VerificationService(VerificationOptions options)
     threads =
         static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   options_.num_threads = threads;
-  CGS_CHECK_MSG(options_.min_batch_per_thread >= 1,
-                "verification service needs min_batch_per_thread >= 1");
 }
 
 VerificationService::KeyCache::Pinned VerificationService::entry_for(
@@ -166,11 +174,11 @@ std::vector<std::uint8_t> VerificationService::verify_many(
   std::vector<std::uint8_t> out(messages.size(), 0);
   if (messages.empty()) return out;
 
-  // Fan out contiguous slices; each worker owns one scratch buffer for its
-  // whole slice. Items are independent and the key entry is immutable, so
-  // there is no cross-thread state beyond the disjoint result slots.
+  // Fan out contiguous slices; each slice owns one scratch buffer. Items
+  // are independent and the key entry is immutable, so there is no
+  // cross-thread state beyond the disjoint result slots.
   const std::size_t want =
-      std::max<std::size_t>(1, messages.size() / options_.min_batch_per_thread);
+      std::max<std::size_t>(1, messages.size() / kMinBatchPerSlice);
   const std::size_t k = std::min<std::size_t>(
       {want, static_cast<std::size_t>(options_.num_threads), messages.size()});
   const std::size_t n = params.n;
@@ -206,18 +214,15 @@ std::vector<std::uint8_t> VerificationService::verify_many(
     for (; i < end; ++i)
       out[i] = verify_one(*key, messages[i], sigs[i], scratch) ? 1 : 0;
   };
-  if (k <= 1) {
-    run_slice(0, messages.size());
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(k - 1);
-    const std::size_t chunk = (messages.size() + k - 1) / k;
-    for (std::size_t t = 1; t < k; ++t)
-      threads.emplace_back(run_slice, t * chunk,
-                           std::min(messages.size(), (t + 1) * chunk));
-    run_slice(0, std::min(messages.size(), chunk));
-    for (auto& th : threads) th.join();
-  }
+  const std::size_t chunk = (messages.size() + k - 1) / k;
+  std::vector<std::function<void()>> slices;
+  slices.reserve(k);
+  for (std::size_t begin = 0; begin < messages.size(); begin += chunk)
+    slices.push_back([&run_slice, begin, end = std::min(messages.size(),
+                                                        begin + chunk)] {
+      run_slice(begin, end);
+    });
+  TaskCrew::shared().run(std::move(slices));
 
   std::uint64_t accepted = 0;
   for (std::uint8_t v : out) accepted += v;

@@ -9,11 +9,12 @@
 // verify lane pays the twiddle setup exactly once per degree.
 //
 // verify_many() amortizes further across the batch: one scratch buffer per
-// worker reused for every c - s1 h recomputation (no per-item allocation of
+// slice reused for every c - s1 h recomputation (no per-item allocation of
 // the product or of s0 — centering, the norm accumulation and the bound
 // check are fused into one pass over the coefficients), hash-to-point done
-// exactly once per message, and the batch fanned out across a small thread
-// pool (items are independent; results land in request order). Batched and
+// exactly once per message, and the batch split into contiguous slices
+// that run as one batch on the process-wide executor (common/task_crew.h;
+// items are independent, results land in request order). Batched and
 // scalar paths run the identical arithmetic, so accept/reject decisions are
 // bit-for-bit the same as Verifier::verify — tests/test_verify.cpp holds
 // the two differentially equal.
@@ -51,11 +52,9 @@ struct VerifyStats {
 };
 
 struct VerificationOptions {
-  int num_threads = 0;  // verify_many fan-out; 0 -> hardware concurrency
-  /// Batches smaller than this stay on the calling thread — spawning
-  /// threads for a handful of sub-millisecond checks costs more than it
-  /// saves.
-  std::size_t min_batch_per_thread = 8;
+  /// verify_many slices at most (0 -> hardware concurrency). A batch gets
+  /// one slice per 8 items, so small batches stay on the calling thread.
+  int num_threads = 0;
   /// Budget for the NTT-domain key cache. Default unbounded — the legacy
   /// every-key-resident behavior.
   store::CacheBudget key_cache;

@@ -13,14 +13,11 @@
 // added latency and light load pays at most max_linger.
 //
 // It drains a lane's QosQueue, so a batch is popped in the queue's
-// priority and fair-share order. An optional idle-work hook turns the wait
-// for a first item into a work-stealing loop: an idle lane thread lends
-// itself to another lane's crew (checkqueue-style) instead of parking on
-// the condition variable.
+// priority and fair-share order. An idle lane thread simply parks on the
+// queue: spare cores are the process-wide executor's to use.
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -39,21 +36,14 @@ class MicroBatcher {
     CGS_CHECK_MSG(max_batch_ >= 1, "micro-batcher needs max_batch >= 1");
   }
 
-  /// Something useful to do while the queue is empty (steal one task from
-  /// another lane's crew, say). Returns true when it did work — the
-  /// batcher then re-checks the queue immediately instead of waiting out
-  /// a poll slice. Runs only between batches, never inside one, so a
-  /// batch's linger budget is unaffected.
-  void set_idle_work(std::function<bool()> fn) { idle_work_ = std::move(fn); }
-
-  /// Blocks for the next batch: waits for a first item (doing idle work,
-  /// when a hook is set), then drains until full or the linger deadline
-  /// passes. Returns false (with `out` empty) only once the queue is
-  /// closed and fully drained — the consumer loop's exit condition.
+  /// Blocks for the next batch: waits for a first item, then drains until
+  /// full or the linger deadline passes. Returns false (with `out` empty)
+  /// only once the queue is closed and fully drained — the consumer loop's
+  /// exit condition.
   bool next_batch(std::vector<T>& out) {
     out.clear();
     T first;
-    if (!pop_first(first)) return false;
+    if (!queue_->pop(first)) return false;
     const auto deadline = std::chrono::steady_clock::now() + max_linger_;
     out.push_back(std::move(first));
     while (out.size() < max_batch_) {
@@ -68,25 +58,9 @@ class MicroBatcher {
   std::chrono::microseconds max_linger() const { return max_linger_; }
 
  private:
-  bool pop_first(T& first) {
-    if (!idle_work_) return queue_->pop(first);
-    // Alternate short queue waits with stolen tasks. After doing stolen
-    // work, poll the queue with a zero wait — our own lane's requests
-    // must not sit behind a second borrowed task.
-    constexpr auto kPollSlice = std::chrono::microseconds(200);
-    for (;;) {
-      const bool stole = idle_work_();
-      const auto until = std::chrono::steady_clock::now() +
-                         (stole ? std::chrono::microseconds(0) : kPollSlice);
-      if (queue_->pop_until(first, until)) return true;
-      if (queue_->closed() && queue_->size() == 0) return false;
-    }
-  }
-
   QosQueue<T>* queue_;
   std::size_t max_batch_;
   std::chrono::microseconds max_linger_;
-  std::function<bool()> idle_work_;
 };
 
 }  // namespace cgs::serve

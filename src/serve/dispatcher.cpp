@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/task_crew.h"
 #include "prng/chacha20.h"
 
 namespace cgs::serve {
@@ -214,19 +215,12 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
       options_.verification.key_cache.max_bytes =
           options_.key_state_budget_bytes * 2 / 5;
   }
-  // The verify crew replaces the service's inner per-call fan-out: slices
-  // already run concurrently (crew workers + thieving sign lanes), so the
-  // service itself defaults to straight-line execution per slice.
-  if (options_.verification.num_threads == 0)
-    options_.verification.num_threads = 1;
   signing_ = std::make_unique<falcon::SigningService>(*registry_,
                                                       options_.signing);
   verifier_ =
       std::make_unique<falcon::VerificationService>(options_.verification);
   gaussian_ = std::make_unique<engine::GaussianService>(*registry_,
                                                         options_.gaussian);
-  verify_crew_ =
-      std::make_unique<TaskCrew>(std::max(0, options_.verify_steal_workers));
   QosQueueOptions qos;
   qos.capacity = options_.queue_capacity;
   qos.tenant_capacity = options_.tenant_capacity;
@@ -301,9 +295,8 @@ void Dispatcher::register_bridges() {
     }
   });
 
-  counter("cgs_serve_verify_slices_stolen_total", [crew = verify_crew_.get()] {
-    return static_cast<double>(crew->stolen());
-  });
+  counter("cgs_executor_tasks_stolen_total",
+          [] { return static_cast<double>(TaskCrew::shared().stolen()); });
 
   const auto cache = [&](const std::string& name, auto stats_fn) {
     counter("cgs_cache_" + name + "_hits_total",
@@ -454,11 +447,6 @@ void Dispatcher::run_lane(Lane<Job<Req>>& lane) {
   if constexpr (std::is_same_v<Req, KeygenRequest>) lower_thread_priority();
   MicroBatcher<JobT> batcher(lane.queue, options_.max_batch,
                              std::chrono::microseconds(options_.max_linger_us));
-  // While a sign lane's queue is empty, lend the thread to the verify
-  // crew: a lingering verify batch's slices finish on otherwise-idle cores.
-  if constexpr (std::is_same_v<Req, SignRequest>)
-    batcher.set_idle_work(
-        [crew = verify_crew_.get()] { return crew->try_help_one(); });
   // The one fail path: failed and expired requests count against the SLO
   // too (never the latency histogram, which records completions only).
   const auto fail = [&](JobT& job, obs::Counter& counter,
@@ -536,43 +524,9 @@ std::vector<bool> Dispatcher::execute(
     messages.push_back(job->req.message);
     sigs.push_back(std::move(job->req.sig));
   }
-  // Large groups split into crew slices: each task verifies a disjoint
-  // subrange and writes a disjoint region of `verdicts`, so crew workers
-  // (and thieving idle sign lanes) run them with no shared mutable state.
-  // run() returns only when every slice is done — the lane thread itself
-  // executes whatever was not stolen.
-  const std::size_t slice =
-      std::max<std::size_t>(1, options_.verify_steal_slice);
-  std::vector<std::uint8_t> verdicts(group.size());
-  if (group.size() <= slice) {
-    verdicts = verifier_->verify_many(kp->h, kp->params, messages, sigs);
-  } else {
-    const std::size_t tasks_n = (group.size() + slice - 1) / slice;
-    std::vector<std::exception_ptr> errors(tasks_n);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(tasks_n);
-    for (std::size_t t = 0; t < tasks_n; ++t) {
-      const std::size_t begin = t * slice;
-      const std::size_t count = std::min(slice, group.size() - begin);
-      tasks.push_back([this, kp, &messages, &sigs, &verdicts, &errors, t,
-                       begin, count] {
-        try {
-          const auto v = verifier_->verify_many(
-              kp->h, kp->params,
-              std::span<const std::string_view>(messages).subspan(begin,
-                                                                  count),
-              std::span<const falcon::Signature>(sigs).subspan(begin, count));
-          std::copy(v.begin(), v.end(),
-                    verdicts.begin() + static_cast<std::ptrdiff_t>(begin));
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      });
-    }
-    verify_crew_->run(std::move(tasks));
-    for (const auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
+  // verify_many slices the group on the shared executor by itself.
+  const std::vector<std::uint8_t> verdicts =
+      verifier_->verify_many(kp->h, kp->params, messages, sigs);
   return std::vector<bool>(verdicts.begin(), verdicts.end());
 }
 

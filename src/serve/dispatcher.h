@@ -21,9 +21,16 @@
 // per key (the engine batches per key — that is what fills its lanes).
 // Raw-Gaussian requests shard by the canonical (sigma, center) recipe key
 // and a lane batch collapses into one GaussianService::sample per distinct
-// target. Because SigningService checks workers out per call instead of
+// target. Because SigningService checks slots out per call instead of
 // serializing callers, two lanes' batches on different keys overlap on
-// disjoint worker subsets instead of convoying.
+// disjoint slot subsets instead of convoying.
+//
+// Threads: one per lane, nothing else. Every fan-out below a lane (a
+// sign_many's slices, a verify_many's slices, a SamplerEngine's per-slot
+// slices) runs on the one process-wide executor, common/task_crew.h: the
+// lane thread runs its own slices and the executor's hardware_concurrency()
+// - 1 workers help. A dispatcher with every num_threads at 1 starts no
+// thread besides its lanes.
 //
 // Keygen runs on its own dedicated lane (and, on Linux, at minimum thread
 // scheduling priority): an NTRU solve is hundreds of milliseconds of
@@ -39,8 +46,7 @@
 // retry-after hint) while every other tenant keeps admitting. Requests
 // may carry a relative deadline; work whose budget lapsed while queued is
 // dropped at batch close with a typed DeadlineExpired instead of running
-// late. Verify batches split into slices on a work-stealing crew, and
-// idle sign-lane batchers steal verify slices while they linger.
+// late.
 //
 // Shutdown drains: queues stop admitting (kShutdown), lane threads finish
 // everything already accepted, and every outstanding future is fulfilled —
@@ -68,7 +74,6 @@
 #include "serve/batcher.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
-#include "serve/steal.h"
 
 namespace cgs::serve {
 
@@ -116,13 +121,10 @@ struct DispatcherOptions {
   std::uint64_t age_promote_us = 10'000;
   /// DRR quantum (requests) for the per-tenant round-robin within a band.
   std::uint32_t drr_quantum = 4;
-  /// Work-stealing verify crew: dedicated helper threads (0 = none; the
-  /// verify lane thread still drives its own batches, and idle sign-lane
-  /// batchers steal single slices either way).
+  /// No effect. Verify fan-out runs on the process-wide executor, sized
+  /// by verification.num_threads. Kept only because servebench/ still
+  /// assigns it; goes with the next change to the benchmark.
   int verify_steal_workers = 1;
-  /// Verify batches with more than this many requests for one key are
-  /// split into crew tasks of at most this size.
-  std::size_t verify_steal_slice = 16;
   // Exactly one keygen lane, always: its whole point is isolation, and a
   // second one would only let two NTRU solves compete for cores.
   falcon::SigningOptions signing;        // inner SigningService configuration
@@ -411,9 +413,6 @@ class Dispatcher {
   std::unique_ptr<falcon::SigningService> signing_;
   std::unique_ptr<falcon::VerificationService> verifier_;
   std::unique_ptr<engine::GaussianService> gaussian_;
-  /// Work-stealing crew for verify slices (declared before the lanes, so
-  /// lane threads — which post to and steal from it — join first).
-  std::unique_ptr<TaskCrew> verify_crew_;
 
   mutable std::mutex keys_mu_;
   std::map<std::uint64_t, falcon::KeyPair> keys_;

@@ -488,10 +488,21 @@ TEST_P(EngineBackends, StatisticalSanityAndDeterminism) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, EngineBackends,
                          ::testing::Values(Backend::kCompiled, Backend::kWide));
 
+// FNV-1a over the samples' little-endian bytes.
+std::uint64_t stream_digest(const std::vector<std::int32_t>& samples) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::int32_t v : samples)
+    for (int i = 0; i < 4; ++i) {
+      h ^= (static_cast<std::uint32_t>(v) >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  return h;
+}
+
 TEST(Engine, StreamsMatchGoldenDigests) {
   // Pins the first 100,000 samples of a two-worker engine for a fixed seed
-  // to FNV-1a over their little-endian bytes, on both evaluators: the word
-  // order, unpack, sign fold and compaction may not change a sample.
+  // on both evaluators: the word order, unpack, sign fold and compaction
+  // may not change a sample.
   SamplerRegistry reg({.cache_dir = fresh_dir("golden"), .use_disk = false});
   auto synth = reg.get(test_params());
   for (const Backend backend : {Backend::kWide, Backend::kCompiled}) {
@@ -499,13 +510,30 @@ TEST(Engine, StreamsMatchGoldenDigests) {
       continue;
     SamplerEngine engine(
         synth, {.backend = backend, .num_threads = 2, .root_seed = 20260});
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::int32_t v : engine.sample(100000))
-      for (int i = 0; i < 4; ++i) {
-        h ^= (static_cast<std::uint32_t>(v) >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
-    EXPECT_EQ(h, 0xacd48e2909d29eebull) << backend_name(backend);
+    EXPECT_EQ(stream_digest(engine.sample(100000)), 0xacd48e2909d29eebull)
+        << backend_name(backend);
+  }
+}
+
+TEST(Engine, MultiSlotStreamPinned) {
+  // A three-slot engine over successive requests of several sizes: slice i
+  // of every request is drawn from slot i's stream, whichever thread runs
+  // it, and each slot's stream continues across requests. Comparing two
+  // engines built from the same code cannot catch a changed slot-to-slice
+  // mapping; these digests can.
+  SamplerRegistry reg({.cache_dir = fresh_dir("slots"), .use_disk = false});
+  SamplerEngine engine(reg.get(test_params()), {.backend = Backend::kWide,
+                                                .num_threads = 3,
+                                                .root_seed = 20261});
+  const struct {
+    std::size_t n;
+    std::uint64_t digest;
+  } pins[] = {{1000, 0x12ed911e7eb062c8ull},
+               {4096, 0x8f9ad78e4d31392dull},
+               {100000, 0x4f7a9fb3393899e5ull}};
+  for (const auto& pin : pins) {
+    const std::uint64_t got = stream_digest(engine.sample(pin.n));
+    EXPECT_EQ(got, pin.digest) << "n=" << pin.n << std::hex << " got 0x" << got;
   }
 }
 

@@ -1,9 +1,9 @@
 // The async serving layer: queue backpressure, QoS scheduling (priority
 // bands, aging, per-tenant fair-share, deadline admission), micro-batch
-// close policy (full batch vs linger), work stealing, dispatcher
-// shutdown-drain semantics, multi-key shard isolation, concurrent-batch
-// overlap through the signing service, metrics accounting, and the
-// length-prefixed wire frames.
+// close policy (full batch vs linger), dispatcher shutdown-drain
+// semantics, multi-key shard isolation, the dispatcher's thread count,
+// concurrent-batch overlap through the signing service, metrics
+// accounting, and the length-prefixed wire frames.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <future>
 #include <functional>
 #include <string>
 #include <thread>
@@ -24,7 +26,6 @@
 #include "serve/dispatcher.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
-#include "serve/steal.h"
 #include "serve/wire.h"
 
 namespace cgs::serve {
@@ -208,40 +209,6 @@ TEST(QosQueue, GlobalCapacityAndCloseKeepRequestQueueContract) {
   EXPECT_FALSE(q.pop(out));
 }
 
-// ------------------------------------------------------ work stealing ----
-
-TEST(TaskCrew, RunExecutesEveryTaskExactlyOnce) {
-  TaskCrew crew(2);
-  constexpr int kTasks = 64;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < kTasks; ++i)
-    tasks.push_back([&hits, i] { hits[static_cast<std::size_t>(i)].fetch_add(1); });
-  crew.run(std::move(tasks));  // returns only when every task ran
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskCrew, ThievesHelpAndNothingOutlivesRun) {
-  TaskCrew crew(0);  // no dedicated workers: just the master and thieves
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 32; ++i)
-    tasks.push_back([&done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      done.fetch_add(1);
-    });
-  std::atomic<bool> stop{false};
-  std::thread thief([&] {
-    while (!stop.load())
-      if (!crew.try_help_one()) std::this_thread::yield();
-  });
-  crew.run(std::move(tasks));
-  EXPECT_EQ(done.load(), 32);  // run() is the barrier, stolen or not
-  stop.store(true);
-  thief.join();
-  EXPECT_FALSE(crew.try_help_one());  // nothing pending after run returns
-}
-
 // ----------------------------------------------------------- batcher -----
 
 TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
@@ -290,27 +257,6 @@ TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
   EXPECT_EQ(batch, std::vector<int>{1});
   EXPECT_FALSE(batcher.next_batch(batch));  // loop exit
   EXPECT_TRUE(batch.empty());
-}
-
-TEST(MicroBatcher, IdleWorkRunsWhileWaitingForFirstItem) {
-  QosQueue<int> q({.capacity = 4});
-  MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(1));
-  std::atomic<int> polls{0};
-  batcher.set_idle_work([&polls] {
-    polls.fetch_add(1);
-    return false;  // nothing to steal: the batcher keeps poll-slicing
-  });
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)q.try_push(5, Priority::kInteractive, 0);
-  });
-  std::vector<int> batch;
-  ASSERT_TRUE(batcher.next_batch(batch));
-  producer.join();
-  EXPECT_EQ(batch, std::vector<int>{5});
-  // The idle hook ran repeatedly during the ~20ms empty wait, and the
-  // batch still formed normally once work arrived.
-  EXPECT_GE(polls.load(), 2);
 }
 
 TEST(MicroBatcher, DrivesQosQueueAndClosedLoopEnds) {
@@ -697,8 +643,7 @@ TEST(Dispatcher, VerifySlicesOnCrewKeepVerdictOrder) {
   opts.verify_lanes = 1;
   opts.max_batch = 32;
   opts.max_linger_us = 30000;  // one batch gathers the whole burst
-  opts.verify_steal_slice = 2;  // force crew slicing at this size
-  opts.verify_steal_workers = 2;
+  opts.verification.num_threads = 3;  // 24 items: three executor slices
   Dispatcher d(registry(), opts);
   const std::uint64_t id = d.add_key(key_a());
 
@@ -716,7 +661,7 @@ TEST(Dispatcher, VerifySlicesOnCrewKeepVerdictOrder) {
   // tasks racing on shared state) flips an expectation deterministically.
   std::vector<std::future<bool>> futures;
   std::vector<bool> want;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 24; ++i) {
     const std::size_t k = static_cast<std::size_t>(i % 6);
     falcon::Signature sig = sigs[k];
     const bool good = (i % 2) == 0;
@@ -730,6 +675,88 @@ TEST(Dispatcher, VerifySlicesOnCrewKeepVerdictOrder) {
   for (std::size_t i = 0; i < futures.size(); ++i)
     EXPECT_EQ(futures[i].get(), want[i]) << i;
   EXPECT_EQ(d.metrics().verify_failed(), 0u);
+}
+
+// --------------------------------------------------------- thread count --
+
+// Threads of this process: one /proc/self/task entry each.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Sign, verify and gauss traffic on two (sigma, c) targets, every answer
+// awaited, so each fan-out the dispatcher has has run at least once.
+void drive_mixed_traffic(Dispatcher& d) {
+  const std::uint64_t id = d.add_key(key_a());
+  std::vector<std::future<falcon::Signature>> signs;
+  for (int i = 0; i < 32; ++i) {
+    auto sub = d.submit(
+        SignRequest{.key_id = id, .message = "threads #" + std::to_string(i)});
+    ASSERT_TRUE(sub.ok());
+    signs.push_back(std::move(sub.future));
+  }
+  std::vector<std::future<bool>> verdicts;
+  for (int i = 0; i < 32; ++i) {
+    auto sub = d.submit(VerifyRequest{.key_id = id,
+                                      .message = "threads #" + std::to_string(i),
+                                      .sig = signs[static_cast<std::size_t>(i)].get()});
+    ASSERT_TRUE(sub.ok());
+    verdicts.push_back(std::move(sub.future));
+  }
+  std::vector<std::future<std::vector<std::int32_t>>> samples;
+  for (int i = 0; i < 8; ++i) {
+    auto sub = d.submit(GaussRequest{.sigma = i % 2 ? 25.0 : 30.0,
+                                     .center = i % 2 ? 0.0 : -1.25,
+                                     .n = 4096});
+    ASSERT_TRUE(sub.ok());
+    samples.push_back(std::move(sub.future));
+  }
+  for (auto& f : verdicts) EXPECT_TRUE(f.get());
+  for (auto& f : samples) EXPECT_EQ(f.get().size(), 4096u);
+}
+
+TEST(DispatcherThreads, DefaultOptionsStayWithinLanesPlusSpareCores) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task";
+  const std::size_t before = process_threads();
+  // Every lane count and num_threads at its default. The interpreted
+  // backend only spares the test a host compile per kernel.
+  DispatcherOptions opts;
+  opts.signing.backend = engine::Backend::kWide;
+  opts.signing.precision = 64;
+  opts.gaussian.backend = engine::Backend::kWide;
+  Dispatcher d(registry(), opts);
+  drive_mixed_traffic(d);
+  const std::size_t lanes = static_cast<std::size_t>(
+      opts.sign_lanes + opts.verify_lanes + opts.gauss_lanes + 1);
+  const std::size_t spare_cores =
+      std::max(1u, std::thread::hardware_concurrency()) - 1;
+  EXPECT_LE(process_threads() - before, lanes + spare_cores);
+}
+
+TEST(DispatcherThreads, OneSlotEverywhereStartsNoHelperThread) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task";
+  const std::size_t before = process_threads();
+  // servebench's pinned configuration: one lane per class and one slot
+  // for every fan-out. Nothing but the four lanes may start.
+  DispatcherOptions opts;
+  opts.sign_lanes = opts.verify_lanes = opts.gauss_lanes = 1;
+  opts.signing.backend = engine::Backend::kWide;
+  opts.signing.precision = 64;
+  opts.signing.num_threads = 1;
+  opts.verification.num_threads = 1;
+  opts.gaussian.backend = engine::Backend::kWide;
+  opts.gaussian.num_threads = 1;
+  Dispatcher d(registry(), opts);
+  drive_mixed_traffic(d);
+  EXPECT_EQ(process_threads() - before, 4u);
 }
 
 // Concurrent batches on different keys overlap on disjoint worker subsets

@@ -217,6 +217,32 @@ TEST(Service, DeterministicAcrossInstancesAndSeedSensitive) {
   EXPECT_NE(va, c.sample(271.4, 0.5, 50000));
 }
 
+TEST(Service, TwoSlotStreamsPinnedOnTwoTargets) {
+  // Golden digests (FNV-1a over little-endian bytes) of a two-slot service
+  // on two targets, interleaved: each target's two engines split every
+  // request into one slice per slot, so these pin the slot-to-slice
+  // mapping that instance-to-instance comparisons cannot see.
+  SamplerRegistry reg({.cache_dir = shared_dir()});
+  GaussianService svc(reg, {.backend = Backend::kWide, .num_threads = 2,
+                            .root_seed = 4051});
+  const struct {
+    double sigma, center;
+    std::uint64_t digest;
+  } pins[] = {{271.4, 0.5, 0x52bdc38c591f2337ull},
+              {30.0, -7.0, 0xebc7b6dcb4c09b5cull},
+              {271.4, 0.5, 0x3a1644dcbcf5f130ull}};
+  for (const auto& pin : pins) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::int32_t v : svc.sample(pin.sigma, pin.center, 50000))
+      for (int i = 0; i < 4; ++i) {
+        h ^= (static_cast<std::uint32_t>(v) >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    EXPECT_EQ(h, pin.digest) << "sigma=" << pin.sigma << std::hex
+                             << " got 0x" << h;
+  }
+}
+
 TEST(Service, StreamsMaterializeLazilyPerTarget) {
   SamplerRegistry reg({.cache_dir = shared_dir()});
   GaussianService svc(reg, {.backend = Backend::kWide, .num_threads = 1,
@@ -232,6 +258,21 @@ TEST(Service, StreamsMaterializeLazilyPerTarget) {
   EXPECT_EQ(svc.num_streams(), 2u);
   svc.sample(271.4, 0.5, std::span<std::int32_t>{});  // empty request: no-op
   EXPECT_EQ(svc.num_streams(), 2u);
+}
+
+TEST(Service, FailedRequestsAreNotCountedAsServed) {
+  // Planning rejects each of these targets before any sample exists, so
+  // neither the lifetime counter (cgs_gauss_samples_served_total under a
+  // dispatcher) nor the stream table may move.
+  SamplerRegistry reg({.cache_dir = shared_dir()});
+  GaussianService svc(reg, {.backend = Backend::kWide, .num_threads = 1,
+                            .root_seed = 3});
+  for (const double sigma : {-1.0, 0.0, 1e9})
+    EXPECT_THROW((void)svc.sample(sigma, 0.0, 1000), Error) << sigma;
+  EXPECT_EQ(svc.num_streams(), 0u);
+  EXPECT_EQ(svc.samples_served(), 0u);
+  (void)svc.sample(30.0, -7.0, 1000);
+  EXPECT_EQ(svc.samples_served(), 1000u);
 }
 
 TEST(Service, IntegerCenterMomentsAndShift) {

@@ -223,6 +223,38 @@ TEST(Service, DeterministicForFixedSeedAndThreads) {
   EXPECT_TRUE(differs);
 }
 
+TEST(Service, ThreeSlotSignaturesPinned) {
+  // Golden digest (FNV-1a over nonce and s1 bytes) of a 7-message batch
+  // on three slots at N=256: message i is signed with slot i % 3's
+  // streams, whichever thread runs the slice.
+  prng::ChaCha20Source key_rng(2560);
+  const KeyPair kp = keygen(FalconParams::for_degree(256), key_rng);
+  std::vector<std::string> storage;
+  for (int i = 0; i < 7; ++i) storage.push_back("slot pin #" + std::to_string(i));
+  const std::vector<std::string_view> msgs(storage.begin(), storage.end());
+
+  SigningOptions opts;
+  opts.backend = engine::Backend::kWide;
+  opts.num_threads = 3;
+  opts.root_seed = 3256;
+  SigningService svc(registry(), opts);
+  const Verifier verifier(kp.h, kp.params);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  const auto sigs = svc.sign_many(kp, msgs);
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    EXPECT_TRUE(verifier.verify(msgs[i], sigs[i])) << i;
+    for (const std::uint8_t b : sigs[i].nonce) byte(b);
+    for (const std::int32_t c : sigs[i].s1)
+      for (int k = 0; k < 4; ++k)
+        byte(static_cast<std::uint8_t>(static_cast<std::uint32_t>(c) >> (8 * k)));
+  }
+  EXPECT_EQ(h, 0x7809a14d29d25921ull) << std::hex << "got 0x" << h;
+}
+
 TEST(Service, TreeCachedPerKeyAndStatsAggregate) {
   const KeyPair& kp = shared_key();
   prng::ChaCha20Source rng(55);
