@@ -7,10 +7,12 @@
 //
 // Expected shape (paper, i7-6600U): byte-scan CDT fastest among scalar
 // rows, binary-search CDT next, this work's bit-sliced CT sampler
-// ~10-30% behind the CDTs, linear-search CT CDT slowest. The batched row
-// is this repo's contribution on top: block-pulled proposals from the
-// compiled (or wide) engine backend amortize the netlist pass the scalar
-// rows pay per 64 samples.
+// ~10-30% behind the CDTs, linear-search CT CDT slowest. This work runs
+// twice: on the interpreted netlist (the >= 3x gate's baseline) and on
+// the compiled kernel, the paper's form, which the paper-gap line reads.
+// The batched row is this repo's contribution on top: block-pulled
+// proposals from the compiled (or wide) engine backend amortize the
+// netlist pass the scalar rows pay per 64 samples.
 //
 // Usage: bench_table1_falcon [budget_sec] [--json FILE] [--degrees a,b,c]
 // Timing gates are skipped when CGS_BENCH_SKIP_TIMING_GATE is set (shared
@@ -63,7 +65,21 @@ std::vector<SamplerEntry> make_samplers(const gauss::ProbMatrix& matrix,
   const auto synth = engine::SamplerRegistry::global().get(matrix.params());
   v.push_back({"this work, scalar   (CT)    ", "bitsliced_scalar",
                std::make_unique<ct::BufferedSampler>(*synth)});
+  // The same 64-lane runner on the registry's compiled kernel: the form
+  // the paper measures (its netlist is compiled C, not interpreted), so
+  // the paper-gap line below reads this row.
+  if (ct::CompiledKernel::is_available())
+    v.push_back({"this work, compiled (CT)    ", "bitsliced_compiled",
+                 std::make_unique<ct::BufferedSampler>(
+                     *synth, engine::SamplerRegistry::global().kernel(*synth))});
   return v;
+}
+
+std::size_t row_of(const std::vector<SamplerEntry>& samplers,
+                   const char* key) {
+  for (std::size_t s = 0; s < samplers.size(); ++s)
+    if (std::strcmp(samplers[s].key, key) == 0) return s;
+  return samplers.size();
 }
 
 double scalar_signs_per_sec(falcon::Signer& signer, RandomBitSource& rng,
@@ -215,10 +231,7 @@ int main(int argc, char** argv) {
 
   // Gate baseline located by key, not position, so reordering the sampler
   // table can never silently re-point the speedup at a CDT row.
-  std::size_t baseline_row = samplers.size();
-  for (std::size_t s = 0; s < samplers.size(); ++s)
-    if (std::strcmp(samplers[s].key, "bitsliced_scalar") == 0)
-      baseline_row = s;
+  const std::size_t baseline_row = row_of(samplers, "bitsliced_scalar");
   if (baseline_row == samplers.size()) {
     std::fprintf(stderr, "FAIL: bitsliced_scalar baseline row missing\n");
     return 1;
@@ -236,11 +249,16 @@ int main(int argc, char** argv) {
   std::printf("  every batched signature verified: %s\n",
               batched_verified ? "yes" : "NO");
 
-  std::printf("\nRelative slowdown of scalar this-work vs fastest non-CT "
-              "(paper: <= ~32%%):\n");
+  // The paper-gap line reads the compiled row where there is one: the
+  // interpreted row also pays the netlist interpreter, which the paper's
+  // compiled sampler does not.
+  std::size_t gap_row = row_of(samplers, "bitsliced_compiled");
+  if (gap_row == samplers.size()) gap_row = baseline_row;
+  std::printf("\nRelative slowdown of %s vs fastest non-CT "
+              "(paper: <= ~32%%):\n", samplers[gap_row].key);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (results[0][i] <= 0 || results[2][i] <= 0) continue;
-    const double ours = results[baseline_row][i];
+    const double ours = results[gap_row][i];
     std::printf("  N=%4zu: %.1f%% slower; vs linear-CT CDT: %.1f%% %s\n",
                 degrees[i], 100.0 * (1.0 - ours / results[0][i]),
                 100.0 * std::fabs(ours / results[2][i] - 1.0),
@@ -261,6 +279,14 @@ int main(int argc, char** argv) {
       json.end_array();
     }
     json.end_object()
+        .begin_object("paper_gap")
+        .field("row", samplers[gap_row].key)
+        .begin_array("slowdown_vs_byte_scan_cdt");
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      json.item(results[0][i] > 0 ? 1.0 - results[gap_row][i] / results[0][i]
+                                  : 0.0);
+    json.end_array()
+        .end_object()
         .begin_object("batched")
         .field("backend", engine::backend_name(service.backend()))
         .field("num_threads", service.num_threads())

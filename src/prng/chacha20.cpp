@@ -1,139 +1,50 @@
 #include "prng/chacha20.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
-#include "common/bits.h"
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace cgs::prng {
 
 namespace {
 
-inline std::uint32_t load32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-inline void store32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
-                          std::uint32_t& d) {
-  a += b; d ^= a; d = rotl32(d, 16);
-  c += d; b ^= c; b = rotl32(b, 12);
-  a += b; d ^= a; d = rotl32(d, 8);
-  c += d; b ^= c; b = rotl32(b, 7);
-}
-
-// Eight blocks per call via GCC vector extensions: lane j of every vector
-// is block (counter + j)'s state word, so the rounds are the scalar code
-// verbatim on 8-wide words. The byte stream is identical to eight
-// sequential scalar blocks. On generic x86-64 builds the 256-bit vectors
-// lower to SSE pairs; target_clones adds a runtime-dispatched AVX2 clone
-// on ELF hosts that support it, roughly doubling bulk keystream.
+// The cores run the scalar RFC 8439 rounds verbatim on GCC vectors: lane j
+// of every vector is block (counter + j)'s state word. Each core is this
+// shared body inlined into a function compiled for its ISA; the helpers
+// take vectors by reference so that nothing crosses a call with a
+// mismatched vector ABI, even at -O0.
 using u32x8 = std::uint32_t __attribute__((vector_size(32)));
+using u32x16 = std::uint32_t __attribute__((vector_size(64)));
 
-// ThreadSanitizer cannot run IFUNC resolvers (they fire during relocation,
-// before the TSan runtime exists — instant segfault at load), so the clone
-// dispatch is compiled out under TSan; the generic vector path remains.
-#if defined(__SANITIZE_THREAD__)
-#define CGS_CHACHA_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CGS_CHACHA_TSAN 1
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
-    !defined(CGS_CHACHA_TSAN)
-#if __has_attribute(target_clones)
-#define CGS_CHACHA_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef CGS_CHACHA_CLONES
-#define CGS_CHACHA_CLONES
-#endif
-
-inline u32x8 rotl_v(u32x8 v, int r) {
-  return (v << r) | (v >> (32 - r));
+template <typename V>
+[[gnu::always_inline]] inline void quarter_round(V& a, V& b, V& c, V& d) {
+  a += b; d ^= a; d = (d << 16) | (d >> 16);
+  c += d; b ^= c; b = (b << 12) | (b >> 20);
+  a += b; d ^= a; d = (d << 8) | (d >> 24);
+  c += d; b ^= c; b = (b << 7) | (b >> 25);
 }
 
-inline void quarter_round_v(u32x8& a, u32x8& b, u32x8& c, u32x8& d) {
-  a += b; d ^= a; d = rotl_v(d, 16);
-  c += d; b ^= c; b = rotl_v(b, 12);
-  a += b; d ^= a; d = rotl_v(d, 8);
-  c += d; b ^= c; b = rotl_v(b, 7);
-}
-
-CGS_CHACHA_CLONES
-void chacha20_blocks8(const std::array<std::uint32_t, 16>& state,
-                      std::uint32_t counter, std::uint8_t out[512]) {
-  u32x8 s[16], x[16];
-  for (int i = 0; i < 16; ++i) {
-    const std::uint32_t w = state[i];
-    s[i] = u32x8{w, w, w, w, w, w, w, w};
-  }
-  s[12] = u32x8{counter,     counter + 1, counter + 2, counter + 3,
-                counter + 4, counter + 5, counter + 6, counter + 7};
+/// Blocks counter .. counter + lanes - 1 into `x`, word-major: x[i] lane
+/// j is word i of block counter + j. The counter carries from word 12
+/// into word 13 per lane.
+template <typename V>
+[[gnu::always_inline]] inline void blocks(
+    const std::array<std::uint32_t, 16>& state, std::uint64_t counter,
+    V (&x)[16]) {
+  constexpr int kLanes = sizeof(V) / sizeof(std::uint32_t);
+  V s[16];
+  for (int i = 0; i < 16; ++i) s[i] = V{} + state[static_cast<std::size_t>(i)];
+  V iota{};
+  for (int j = 0; j < kLanes; ++j) iota[j] = static_cast<std::uint32_t>(j);
+  const V lo = V{} + static_cast<std::uint32_t>(counter);
+  s[12] = lo + iota;
+  s[13] = (V{} + static_cast<std::uint32_t>(counter >> 32)) -
+          reinterpret_cast<V>(s[12] < lo);  // a true lane compares as -1
   for (int i = 0; i < 16; ++i) x[i] = s[i];
-  for (int round = 0; round < 10; ++round) {
-    quarter_round_v(x[0], x[4], x[8], x[12]);
-    quarter_round_v(x[1], x[5], x[9], x[13]);
-    quarter_round_v(x[2], x[6], x[10], x[14]);
-    quarter_round_v(x[3], x[7], x[11], x[15]);
-    quarter_round_v(x[0], x[5], x[10], x[15]);
-    quarter_round_v(x[1], x[6], x[11], x[12]);
-    quarter_round_v(x[2], x[7], x[8], x[13]);
-    quarter_round_v(x[3], x[4], x[9], x[14]);
-  }
-  for (int i = 0; i < 16; ++i) x[i] += s[i];
-  for (int j = 0; j < 8; ++j) {
-    for (int i = 0; i < 16; ++i) {
-      if constexpr (std::endian::native == std::endian::little) {
-        // Single u32 store == store32's byte order on LE; the per-byte
-        // form defeats the vector lane extract and costs ~a third of the
-        // whole block function.
-        const std::uint32_t v = x[i][j];
-        std::memcpy(out + 64 * j + 4 * i, &v, 4);
-      } else {
-        store32(out + 64 * j + 4 * i, x[i][j]);
-      }
-    }
-  }
-}
-
-std::array<std::uint32_t, 16> make_state(
-    const std::array<std::uint8_t, 32>& key,
-    const std::array<std::uint8_t, 12>& nonce) {
-  std::array<std::uint32_t, 16> st;
-  st[0] = 0x61707865u; st[1] = 0x3320646eu;
-  st[2] = 0x79622d32u; st[3] = 0x6b206574u;
-  for (int i = 0; i < 8; ++i) st[4 + i] = load32(key.data() + 4 * i);
-  st[12] = 0;  // per-block counter, patched at generation time
-  for (int i = 0; i < 3; ++i) st[13 + i] = load32(nonce.data() + 4 * i);
-  return st;
-}
-
-}  // namespace
-
-namespace {
-
-// One scalar block from precomputed input words (counter patched in) —
-// the single place the key/nonce-derived state is consumed, shared by the
-// public RFC entry point and the source's refill().
-void chacha20_block_state(const std::array<std::uint32_t, 16>& state,
-                          std::uint32_t counter,
-                          std::span<std::uint8_t, 64> out) {
-  std::array<std::uint32_t, 16> st = state;
-  st[12] = counter;
-  std::uint32_t x[16];
-  std::memcpy(x, st.data(), sizeof x);
   for (int round = 0; round < 10; ++round) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -144,70 +55,140 @@ void chacha20_block_state(const std::array<std::uint32_t, 16>& state,
     quarter_round(x[2], x[7], x[8], x[13]);
     quarter_round(x[3], x[4], x[9], x[14]);
   }
-  for (int i = 0; i < 16; ++i)
-    store32(out.data() + 4 * i, x[i] + st[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 16; ++i) x[i] += s[i];
 }
+
+/// Two 8-block passes; the lane extracts store each block in stream byte
+/// order.
+[[gnu::always_inline]] inline void core8x2(
+    const std::array<std::uint32_t, 16>& state, std::uint64_t counter,
+    std::uint64_t* out) {
+  auto* bytes = reinterpret_cast<unsigned char*>(out);
+  for (int half = 0; half < 2; ++half) {
+    u32x8 x[16];
+    blocks(state, counter + 8 * static_cast<std::uint64_t>(half), x);
+    for (int j = 0; j < 8; ++j) {
+      unsigned char* block = bytes + 512 * half + 64 * j;
+      for (int i = 0; i < 16; ++i) {
+        const std::uint32_t v = x[i][j];
+        if constexpr (std::endian::native == std::endian::little) {
+          std::memcpy(block + 4 * i, &v, 4);
+        } else {
+          for (int b = 0; b < 4; ++b)
+            block[4 * i + b] = static_cast<unsigned char>(v >> (8 * b));
+        }
+      }
+    }
+  }
+}
+
+void core_generic(const std::array<std::uint32_t, 16>& state,
+                  std::uint64_t counter, std::uint64_t* out) {
+  core8x2(state, counter, out);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void core_avx2(
+    const std::array<std::uint32_t, 16>& state, std::uint64_t counter,
+    std::uint64_t* out) {
+  core8x2(state, counter, out);
+}
+
+// GCC 12's avx512fintrin.h self-initializes the "undefined" pass-through
+// operand of the unmasked shuffles, which -Wuninitialized then reports at
+// every inlined use (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+/// Sixteen blocks in one pass (the rotates lower to vprold), then a 16x16
+/// transpose of 32-bit words in registers: 32-bit and 64-bit unpacks
+/// gather four words of four blocks per 128-bit lane, two rounds of
+/// 128-bit lane shuffles finish the blocks, and each block is stored
+/// straight into `out`.
+__attribute__((target("avx512f"))) void core_avx512f(
+    const std::array<std::uint32_t, 16>& state, std::uint64_t counter,
+    std::uint64_t* out) {
+  u32x16 x[16];
+  blocks(state, counter, x);
+  // r[4k + m], 128-bit lane L: words 4k..4k+3 of block 4L + m.
+  __m512i r[16];
+  for (int k = 0; k < 4; ++k) {
+    const __m512i a = reinterpret_cast<__m512i>(x[4 * k]);
+    const __m512i b = reinterpret_cast<__m512i>(x[4 * k + 1]);
+    const __m512i c = reinterpret_cast<__m512i>(x[4 * k + 2]);
+    const __m512i d = reinterpret_cast<__m512i>(x[4 * k + 3]);
+    const __m512i ab_lo = _mm512_unpacklo_epi32(a, b);
+    const __m512i ab_hi = _mm512_unpackhi_epi32(a, b);
+    const __m512i cd_lo = _mm512_unpacklo_epi32(c, d);
+    const __m512i cd_hi = _mm512_unpackhi_epi32(c, d);
+    r[4 * k] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+    r[4 * k + 1] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+    r[4 * k + 2] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+    r[4 * k + 3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+  }
+  for (int m = 0; m < 4; ++m) {
+    // Transpose the 4x4 grid of 128-bit lanes r[4k + m].lane(L).
+    const __m512i p0 = _mm512_shuffle_i32x4(r[m], r[4 + m], 0x44);
+    const __m512i p1 = _mm512_shuffle_i32x4(r[m], r[4 + m], 0xee);
+    const __m512i p2 = _mm512_shuffle_i32x4(r[8 + m], r[12 + m], 0x44);
+    const __m512i p3 = _mm512_shuffle_i32x4(r[8 + m], r[12 + m], 0xee);
+    _mm512_storeu_si512(out + 8 * m, _mm512_shuffle_i32x4(p0, p2, 0x88));
+    _mm512_storeu_si512(out + 8 * (4 + m), _mm512_shuffle_i32x4(p0, p2, 0xdd));
+    _mm512_storeu_si512(out + 8 * (8 + m), _mm512_shuffle_i32x4(p1, p3, 0x88));
+    _mm512_storeu_si512(out + 8 * (12 + m), _mm512_shuffle_i32x4(p1, p3, 0xdd));
+  }
+}
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace
 
-void chacha20_block(const std::array<std::uint8_t, 32>& key,
-                    const std::array<std::uint8_t, 12>& nonce,
-                    std::uint32_t counter, std::span<std::uint8_t, 64> out) {
-  chacha20_block_state(make_state(key, nonce), counter, out);
+ChaChaCore chacha20_core(VectorIsa isa) {
+  switch (isa) {
+    case VectorIsa::kGeneric:
+      return core_generic;
+#if defined(__x86_64__)
+    case VectorIsa::kAvx2:
+      return core_avx2;
+    case VectorIsa::kAvx512f:
+      return core_avx512f;
+#endif
+    default:
+      return nullptr;
+  }
 }
 
-ChaCha20Source::ChaCha20Source(std::uint64_t seed) {
-  // Expand the seed across the key with distinct lane constants; this is a
-  // convenience constructor for benches/tests, not a KDF.
+std::array<std::uint32_t, 16> chacha20_seed_state(std::uint64_t seed) {
+  // "expand 32-byte k", then the seed spread across the key with distinct
+  // lane constants (a convenience for benches and tests, not a KDF).
+  std::array<std::uint32_t, 16> st{0x61707865u, 0x3320646eu, 0x79622d32u,
+                                   0x6b206574u};
   for (int i = 0; i < 4; ++i) {
     const std::uint64_t lane = seed ^ (0x9e3779b97f4a7c15ull * (i + 1));
-    std::memcpy(key_.data() + 8 * i, &lane, 8);
+    st[static_cast<std::size_t>(4 + 2 * i)] = static_cast<std::uint32_t>(lane);
+    st[static_cast<std::size_t>(5 + 2 * i)] =
+        static_cast<std::uint32_t>(lane >> 32);
   }
-  nonce_.fill(0);
-  state_ = make_state(key_, nonce_);
+  return st;
 }
 
-ChaCha20Source::ChaCha20Source(const std::array<std::uint8_t, 32>& key,
-                               const std::array<std::uint8_t, 12>& nonce)
-    : key_(key), nonce_(nonce), state_(make_state(key, nonce)) {}
-
 void ChaCha20Source::refill() {
-  chacha20_block_state(state_, counter_++, block_);
+  core_(state_, counter_, buf_.data());
+  counter_ += 16;
   pos_ = 0;
 }
 
-std::uint64_t ChaCha20Source::next_word() {
-  if (pos_ >= 64) refill();
-  std::uint64_t w;
-  std::memcpy(&w, block_.data() + pos_, 8);
-  pos_ += 8;
-  return w;
-}
-
 void ChaCha20Source::fill_words(std::span<std::uint64_t> out) {
-  std::size_t i = 0;
-  // Drain the partially consumed block first so the combined stream equals
-  // the same sequence of next_word() calls.
-  while (i < out.size() && pos_ < 64) {
-    std::memcpy(&out[i++], block_.data() + pos_, 8);
-    pos_ += 8;
+  std::size_t i = std::min(out.size(), kChaChaCoreWords - pos_);
+  std::copy_n(buf_.begin() + static_cast<std::ptrdiff_t>(pos_), i, out.begin());
+  pos_ += i;
+  for (; out.size() - i >= kChaChaCoreWords; i += kChaChaCoreWords) {
+    core_(state_, counter_, out.data() + i);
+    counter_ += 16;
   }
-  // Whole blocks straight into the destination, eight at a time.
-  std::uint8_t octet[512];
-  while (out.size() - i >= 64) {
-    chacha20_blocks8(state_, counter_, octet);
-    counter_ += 8;
-    std::memcpy(&out[i], octet, 512);
-    i += 64;
-  }
-  // Tail: buffer one block and serve the leading words; the rest stays for
-  // future next_word()/fill_words() calls.
-  while (i < out.size()) {
+  if (i < out.size()) {
     refill();
-    while (i < out.size() && pos_ < 64) {
-      std::memcpy(&out[i++], block_.data() + pos_, 8);
-      pos_ += 8;
-    }
+    pos_ = out.size() - i;
+    std::copy_n(buf_.begin(), pos_, out.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }
 

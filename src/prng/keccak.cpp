@@ -4,6 +4,7 @@
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "prng/isa.h"
 
 namespace cgs::prng {
 
@@ -49,39 +50,21 @@ void keccak_f1600(std::array<std::uint64_t, 25>& a) {
   }
 }
 
-// Same clone-dispatch arrangement as chacha20.cpp: on generic x86-64
-// builds the 256-bit vectors lower to SSE pairs (~2 lanes' worth of win);
-// target_clones adds a runtime-dispatched AVX2 clone where supported.
-// IFUNC resolvers fire before the TSan runtime exists, so the dispatch is
-// compiled out under ThreadSanitizer.
-#if defined(__SANITIZE_THREAD__)
-#define CGS_KECCAK_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CGS_KECCAK_TSAN 1
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
-    !defined(CGS_KECCAK_TSAN)
-#if __has_attribute(target_clones)
-#define CGS_KECCAK_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef CGS_KECCAK_CLONES
-#define CGS_KECCAK_CLONES
-#endif
-
-// A macro, not a helper function, on purpose: an out-of-line call from
-// the AVX2 clone into default-target code would pass the vectors through
-// a mismatched register ABI (garbage at -O0, where nothing inlines on
-// its own), and even an always_inline function with a vector return
-// draws gcc's -Wpsabi ABI note.
+// The four-lane permutation is one body compiled twice, for the baseline
+// ISA (the 256-bit vectors lower to SSE pairs) and for AVX2, picked once
+// per process by the prng kernels' shared dispatch (prng/isa.h).
+//
+// The rotate is a macro, not a helper function, on purpose: an
+// out-of-line call from the AVX2 body into default-target code would pass
+// the vectors through a mismatched register ABI (garbage at -O0, where
+// nothing inlines on its own), and even an always_inline function with a
+// vector return draws gcc's -Wpsabi ABI note.
 #define CGS_ROTL_V(v, r) \
   ((r) == 0 ? (v) : (U64x4)(((v) << (r)) | ((v) >> (64 - (r)))))
 
-CGS_KECCAK_CLONES
-void keccak_f1600_x4(std::array<U64x4, 25>& a) {
+namespace {
+
+[[gnu::always_inline]] inline void keccak_x4_body(std::array<U64x4, 25>& a) {
   for (int round = 0; round < 24; ++round) {
     // Theta
     U64x4 c[5], d[5];
@@ -106,7 +89,29 @@ void keccak_f1600_x4(std::array<U64x4, 25>& a) {
     a[0] ^= U64x4{kRC[round], kRC[round], kRC[round], kRC[round]};
   }
 }
+
+void keccak_x4_generic(std::array<U64x4, 25>& a) { keccak_x4_body(a); }
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void keccak_x4_avx2(
+    std::array<U64x4, 25>& a) {
+  keccak_x4_body(a);
+}
+#endif
+
+}  // namespace
 #undef CGS_ROTL_V
+
+void keccak_f1600_x4(std::array<U64x4, 25>& states) {
+#if defined(__x86_64__)
+  static void (*const body)(std::array<U64x4, 25>&) =
+      host_vector_isa() >= VectorIsa::kAvx2 ? keccak_x4_avx2
+                                            : keccak_x4_generic;
+  body(states);
+#else
+  keccak_x4_generic(states);
+#endif
+}
 
 Shake::Shake(Variant v)
     : rate_(v == Variant::kShake128 ? 168 : 136) {}

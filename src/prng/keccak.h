@@ -17,7 +17,9 @@ namespace cgs::prng {
 void keccak_f1600(std::array<std::uint64_t, 25>& state);
 
 /// Four independent Keccak-f[1600] states permuted together, one state
-/// per SIMD lane (GCC vector extensions, like the 256-lane samplers).
+/// per SIMD lane (GCC vector extensions, like the 256-lane samplers; an
+/// AVX2 body where the host has it, picked once per process by
+/// prng/isa.h).
 /// This is what lets a batched consumer — hash-to-point over a verify
 /// batch — amortize the permutation the way bit-slicing amortizes the
 /// sampler netlist.

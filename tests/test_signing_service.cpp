@@ -97,13 +97,16 @@ TEST(BlockSource, EngineSourceServesBaseAndWords) {
 }
 
 TEST(ChaCha, FillWordsMatchesNextWordStream) {
-  // The bulk (8-blocks-at-a-time) path must be bit-identical to scalar
-  // draws, including when the two are interleaved mid-block.
+  // The bulk path (buffer head, whole 128-word core runs, buffer tail)
+  // must be bit-identical to scalar draws, including when the two are
+  // interleaved mid-block and when a fill straddles the 128-word buffer.
+  // Both paths share the core; test_prng checks the core itself.
   prng::ChaCha20Source bulk(123), scalar(123);
   std::vector<std::uint64_t> got;
-  got.reserve(700);
+  got.reserve(2200);
   std::vector<std::uint64_t> buf;
-  for (std::size_t len : {1u, 7u, 64u, 3u, 129u, 256u, 5u, 33u}) {
+  for (std::size_t len : {1u, 7u, 64u, 3u, 129u, 256u, 5u, 33u, 127u, 128u,
+                          120u, 255u, 384u, 2u, 130u, 0u, 512u, 126u}) {
     buf.assign(len, 0);
     bulk.fill_words(buf);
     got.insert(got.end(), buf.begin(), buf.end());
