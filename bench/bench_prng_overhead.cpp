@@ -8,6 +8,12 @@
 // measures and the one the engine serves. The interpreter's own cost
 // dilutes the PRNG share; the compiled row is the one to read against §7.
 //
+// The compiled row also times the kernel alone (eval ns/sample: the netlist
+// pass without randomness, unpack or sign fold) and the JSON records the
+// cold compile of the σ=2 kernel, built in a private directory so no cache
+// answers it: the two numbers a change to the kernel's flags or emission
+// moves.
+//
 // Usage: bench_prng_overhead [batches] [--json FILE]
 
 #include <algorithm>
@@ -20,6 +26,7 @@
 
 #include "bench_util.h"
 #include "ct/batch_sampler.h"
+#include "ct/kernel_cache.h"
 #include "engine/registry.h"
 #include "prng/chacha20.h"
 #include "prng/keccak.h"
@@ -76,7 +83,24 @@ struct RunnerResult {
   int words_per_batch;
   double core_only_s;
   std::vector<PrngRow> prngs;
+  double eval_ns_per_sample = 0;  // compiled row only
 };
+
+/// The 256-lane kernel entry alone, on fixed random inputs.
+double kernel_eval_ns(const ct::CompiledKernel& kernel, int batches) {
+  const ct::CompiledKernel::Fn fn = kernel.entry(256);
+  std::vector<std::uint64_t> in(4 * kernel.num_inputs()),
+      out(4 * kernel.num_outputs());
+  prng::SplitMix64Source seed(11);
+  for (auto& w : in) w = seed.next_word();
+  for (int i = 0; i < batches / 20 + 1; ++i) fn(in.data(), out.data());
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < batches; ++i) fn(in.data(), out.data());
+  const double s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return 1e9 * s / (static_cast<double>(batches) * 256);
+}
 
 template <typename Sampler>
 RunnerResult run(const char* name, Sampler& sampler, int batches) {
@@ -126,9 +150,19 @@ int main(int argc, char** argv) {
   const auto kernel = ct::CompiledKernel::is_available()
                           ? engine::SamplerRegistry::global().kernel(*synth)
                           : nullptr;
+  double cold_compile_s = 0;
   if (kernel && kernel->has_wide()) {
     ct::WideBitslicedSampler compiled(*synth, kernel);
     results.push_back(run("compiled, 256 lanes", compiled, batches));
+    results.back().eval_ns_per_sample = kernel_eval_ns(*kernel, batches);
+    // An empty directory compiles privately and persists nothing.
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)ct::load_or_compile_kernel(ct::KernelSource(*synth));
+    cold_compile_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    std::printf("kernel eval alone: %.2f ns/sample; cold σ=2 compile: %.2fs\n",
+                results.back().eval_ns_per_sample, cold_compile_s);
   } else {
     std::printf("\n(no 256-lane compiled kernel: compiled row skipped)\n");
   }
@@ -138,6 +172,7 @@ int main(int argc, char** argv) {
     json.begin_object()
         .field("bench", "prng_overhead")
         .field("paper_chacha_share", 0.60)
+        .field("kernel_cold_compile_s", cold_compile_s)
         .begin_array("runners");
     for (const RunnerResult& r : results) {
       json.begin_object()
@@ -145,6 +180,7 @@ int main(int argc, char** argv) {
           .field("lanes", r.lanes)
           .field("words_per_batch", r.words_per_batch)
           .field("core_only_s", r.core_only_s)
+          .field("eval_ns_per_sample", r.eval_ns_per_sample)
           .begin_array("prngs");
       for (const PrngRow& p : r.prngs)
         json.begin_object()

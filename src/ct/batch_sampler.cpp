@@ -6,31 +6,60 @@
 
 namespace cgs::ct {
 
-void unpack_lanes(const std::uint64_t* planes, std::size_t stride, int m,
-                  std::uint32_t* out) {
-  if (m <= 8) {
-    for (int chunk = 0; chunk < 8; ++chunk) {
-      std::uint64_t acc = 0;
-      for (int k = 0; k < m; ++k)
-        acc |= spread_byte((planes[static_cast<std::size_t>(k) * stride] >>
-                            (8 * chunk)) &
-                           0xff)
+namespace {
+
+/// The signed bytes of an N-byte lane word, for byte-wise arithmetic.
+template <std::size_t N>
+struct ByteLanes {
+  typedef std::int8_t type __attribute__((vector_size(N)));
+};
+
+}  // namespace
+
+template <typename Word>
+void unpack_batch(const std::uint64_t* planes, int m,
+                  const std::uint64_t* signs, std::int32_t* out) {
+  constexpr int kGroups = sizeof(Word) / sizeof(std::uint64_t);
+  if (m > 7) {
+    for (int g = 0; g < kGroups; ++g)
+      for (int lane = 0; lane < 64; ++lane) {
+        std::int32_t v = 0;
+        for (int k = 0; k < m; ++k)
+          v |= static_cast<std::int32_t>(
+                   (planes[kGroups * k + g] >> lane) & 1u)
                << k;
-      for (int j = 0; j < 8; ++j)
-        out[8 * chunk + j] =
-            static_cast<std::uint32_t>((acc >> (8 * j)) & 0xff);
-    }
+        // Branch-free sign application: negate iff the sign bit is set.
+        const std::int32_t s = -static_cast<std::int32_t>((signs[g] >> lane) & 1u);
+        out[64 * g + lane] = (v ^ s) - s;
+      }
     return;
   }
-  for (int lane = 0; lane < 64; ++lane) {
-    std::uint32_t v = 0;
-    for (int k = 0; k < m; ++k)
-      v |= static_cast<std::uint32_t>(
-               (planes[static_cast<std::size_t>(k) * stride] >> lane) & 1u)
-           << k;
-    out[lane] = v;
+  using Bytes = typename ByteLanes<sizeof(Word)>::type;
+  constexpr std::uint64_t kLow = 0x0101010101010101ull;
+  Word plane[7], sign;
+  std::memcpy(plane, planes, static_cast<std::size_t>(m) * sizeof(Word));
+  std::memcpy(&sign, signs, sizeof sign);
+  // Byte c of group g of lanes[j] is lane 64g + 8c + j: (plane >> j) & kLow
+  // drops lane 8c + j's bit into bit 0 of byte c, for all eight c at once.
+  Bytes lanes[8];
+  for (int j = 0; j < 8; ++j) {
+    Word acc{};
+    for (int k = 0; k < m; ++k) acc |= ((plane[k] >> j) & kLow) << k;
+    const Bytes neg = -(Bytes)((sign >> j) & kLow);
+    lanes[j] = ((Bytes)acc ^ neg) - neg;
   }
+  std::int8_t bytes[sizeof lanes];
+  std::memcpy(bytes, lanes, sizeof lanes);
+  for (int g = 0; g < kGroups; ++g)
+    for (int c = 0; c < 8; ++c)
+      for (int j = 0; j < 8; ++j)
+        out[64 * g + 8 * c + j] = bytes[sizeof(Word) * j + 8 * g + c];
 }
+
+template void unpack_batch<std::uint64_t>(const std::uint64_t*, int,
+                                          const std::uint64_t*, std::int32_t*);
+template void unpack_batch<Word256>(const std::uint64_t*, int,
+                                    const std::uint64_t*, std::int32_t*);
 
 template <typename Word>
 BatchSampler<Word>::BatchSampler(SynthesizedSampler synth)
@@ -77,41 +106,37 @@ void BatchSampler<Word>::eval() {
 }
 
 template <typename Word>
+auto BatchSampler<Word>::run(RandomBitSource& rng, bool with_signs,
+                             std::int32_t* out) -> Mask {
+  rng.fill_words(in_);
+  eval();
+  std::uint64_t signs[kGroups] = {};
+  if (with_signs)
+    for (std::uint64_t& s : signs) s = rng.next_word();
+  const int m = synth_.num_output_bits;
+  unpack_batch<Word>(out_.data(), m, signs, out);
+  Mask valid;
+  valid.fill(~std::uint64_t(0));
+  if (synth_.has_valid_bit)
+    std::memcpy(valid.data(), out_.data() + kGroups * static_cast<std::size_t>(m),
+                sizeof valid);
+  return valid;
+}
+
+template <typename Word>
 auto BatchSampler<Word>::sample_magnitudes(RandomBitSource& rng,
                                            std::span<std::uint32_t> out)
     -> Mask {
   CGS_CHECK(out.size() >= static_cast<std::size_t>(kBatch));
-  rng.fill_words(in_);
-  eval();
-
-  const std::uint64_t* words = out_.data();
-  const int m = synth_.num_output_bits;
-  Mask valid;
-  for (std::size_t g = 0; g < kGroups; ++g) {
-    unpack_lanes(words + g, kGroups, m, out.data() + 64 * g);
-    valid[g] = synth_.has_valid_bit
-                   ? words[kGroups * static_cast<std::size_t>(m) + g]
-                   : ~std::uint64_t(0);
-  }
-  return valid;
+  // Magnitudes are non-negative, and int32/uint32 may alias.
+  return run(rng, false, reinterpret_cast<std::int32_t*>(out.data()));
 }
 
 template <typename Word>
 auto BatchSampler<Word>::sample_batch(RandomBitSource& rng,
                                       std::span<std::int32_t> out) -> Mask {
   CGS_CHECK(out.size() >= static_cast<std::size_t>(kBatch));
-  std::uint32_t mags[kBatch];
-  const Mask valid = sample_magnitudes(rng, mags);
-  for (std::size_t g = 0; g < kGroups; ++g) {
-    const std::uint64_t signs = rng.next_word();
-    for (std::size_t lane = 0; lane < 64; ++lane) {
-      const auto mag = static_cast<std::int32_t>(mags[64 * g + lane]);
-      // Branch-free sign application: negate iff the sign bit is set.
-      const std::int32_t s = -static_cast<std::int32_t>((signs >> lane) & 1u);
-      out[64 * g + lane] = (mag ^ s) - s;
-    }
-  }
-  return valid;
+  return run(rng, true, out.data());
 }
 
 template <typename Word>
@@ -125,12 +150,21 @@ void BatchSampler<Word>::fill(RandomBitSource& rng,
   constexpr int kMaxEmptyBatches = 1000;
   int empty_streak = 0;
   std::size_t pos = 0;
-  std::int32_t batch[kBatch];
+  Mask all_valid;
+  all_valid.fill(~std::uint64_t(0));
+  std::int32_t tail[kBatch];
   while (pos < out.size()) {
     const std::size_t before = pos;
-    const Mask valid = sample_batch(rng, batch);
-    for (int lane = 0; lane < kBatch && pos < out.size(); ++lane)
-      if ((valid[lane / 64] >> (lane % 64)) & 1u) out[pos++] = batch[lane];
+    // Straight into `out` while a whole batch fits; compaction then moves
+    // lanes down only, never past one not yet read.
+    std::int32_t* batch =
+        out.size() - pos >= static_cast<std::size_t>(kBatch) ? &out[pos] : tail;
+    const Mask valid = run(rng, true, batch);
+    if (batch != tail && valid == all_valid)
+      pos += kBatch;
+    else
+      for (int lane = 0; lane < kBatch && pos < out.size(); ++lane)
+        if ((valid[lane / 64] >> (lane % 64)) & 1u) out[pos++] = batch[lane];
     empty_streak = pos == before ? empty_streak + 1 : 0;
     CGS_CHECK_MSG(empty_streak < kMaxEmptyBatches,
                   "sampler produced no valid lanes for "

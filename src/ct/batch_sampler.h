@@ -28,19 +28,17 @@ namespace cgs::ct {
 /// the compiled 256-lane kernel use, word g of bit k sits at index 4k + g.
 using Word256 = std::uint64_t __attribute__((vector_size(32)));
 
-/// Spreads the 8 bits of byte `b` one per byte (bit i -> byte i, value 0
-/// or 1), arithmetically: no table, so no load indexed by sample bits.
-constexpr std::uint64_t spread_byte(std::uint64_t b) {
-  const std::uint64_t kept =
-      (b * 0x0101010101010101ull) & 0x8040201008040201ull;
-  return ((kept + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
-}
-
-/// Lane transpose of one 64-lane group: plane k (`planes[k * stride]`)
-/// holds bit k of every lane; writes the 64 m-bit lane values to `out`.
-/// For m <= 8 eight lanes unpack at once as the bytes of one word.
-void unpack_lanes(const std::uint64_t* planes, std::size_t stride, int m,
-                  std::uint32_t* out);
+/// Lane transpose of one batch, all lane groups at once, with the sign
+/// fold: plane k (`planes[k * G + g]`, G = the Word's 64-bit groups) holds
+/// bit k of lanes 64g..64g+63; bit i of `signs[g]` negates lane 64g + i.
+/// Writes the kBatch signed m-bit lane values to `out` in lane order
+/// (all-zero `signs` leave plain magnitudes). For m <= 7 every lane fits a
+/// signed byte: the bits are gathered and the sign folded eight lanes to a
+/// 64-bit word with shifts and masks only (no multiply, no table), then
+/// widened to int32; wider magnitudes go lane by lane.
+template <typename Word>
+void unpack_batch(const std::uint64_t* planes, int m,
+                  const std::uint64_t* signs, std::int32_t* out);
 
 template <typename Word>
 class BatchSampler {
@@ -73,10 +71,14 @@ class BatchSampler {
   Mask sample_batch(RandomBitSource& rng, std::span<std::int32_t> out);
 
   /// Fills `out` with the valid lanes of as many batches as it takes; the
-  /// rest of the last batch is dropped.
+  /// rest of the last batch is dropped. Batches land straight in `out`
+  /// while a whole one fits, compacted in place only if a lane is invalid.
   void fill(RandomBitSource& rng, std::span<std::int32_t> out);
 
  private:
+  /// One batch into `out` (kBatch entries): the random inputs, the netlist
+  /// pass, then, if `with_signs`, one sign word per lane group.
+  Mask run(RandomBitSource& rng, bool with_signs, std::int32_t* out);
   void eval();
 
   SynthesizedSampler synth_;

@@ -42,6 +42,19 @@ inline double inv_two_sigma_sq(double sigma) {
 
 namespace detail {
 
+/// `take_a ? a : b` as a mask select on the bit patterns: a ternary on
+/// doubles compiles to a jump wherever GCC can thread one side.
+inline double select_bits(bool take_a, double a, double b) {
+  std::uint64_t ua, ub;
+  std::memcpy(&ua, &a, sizeof ua);
+  std::memcpy(&ub, &b, sizeof ub);
+  const std::uint64_t mask = -static_cast<std::uint64_t>(take_a);
+  const std::uint64_t r = (ua & mask) | (ub & ~mask);
+  double out;
+  std::memcpy(&out, &r, sizeof out);
+  return out;
+}
+
 /// exp(-x) without the libm round trip, branch-free: split x = k ln2 + r
 /// (Cody-Waite two-term reduction, so the reduced argument keeps full
 /// precision), evaluate the degree-16 Taylor polynomial of exp(t) at
@@ -53,6 +66,9 @@ namespace detail {
 /// quantization of the uniform the result is compared against.
 /// x <= 0 and NaN return exactly 1 (accept); x is capped at 1022 ln2,
 /// where the result (~2^-1022) sits below every nonzero uniform.
+/// The clamps are bit-mask selects and the floor a truncation of a
+/// non-negative value, so the compiled function holds no branch (the
+/// machine-code audit in tests/test_ct_audit.cpp checks it).
 inline double exp_neg(double x) {
   constexpr double kInvLn2 = 1.4426950408889634074;
   // ln2 split with 27 zero low bits in the high part: kd (integral,
@@ -61,10 +77,11 @@ inline double exp_neg(double x) {
   constexpr double kLn2Hi = 0x1.62e42fefa38p-1;
   constexpr double kLn2Lo = 0x1.ef35793c7673p-45;
   constexpr double kMaxX = 1022.0 * 0.69314718055994530942;
-  x = x > 0.0 ? x : 0.0;  // NaN compares false: -> 0
-  x = x < kMaxX ? x : kMaxX;
-  double kd = std::floor(x * kInvLn2);
-  kd = kd < 1022.0 ? kd : 1022.0;
+  x = select_bits(x > 0.0, x, 0.0);  // NaN compares false: -> 0
+  x = select_bits(x < kMaxX, x, kMaxX);
+  std::int64_t k = static_cast<std::int64_t>(x * kInvLn2);  // = floor, x >= 0
+  k = k < 1022 ? k : 1022;
+  const double kd = static_cast<double>(k);
   const double t = -((x - kd * kLn2Hi) - kd * kLn2Lo);  // in (-ln2, 0]
   // c_j = 1/j!, exactly rounded (j! <= 16! < 2^53 is exact).
   constexpr double c2 = 1.0 / 2, c3 = 1.0 / 6, c4 = 1.0 / 24,
@@ -86,8 +103,7 @@ inline double exp_neg(double x) {
   const double hi = p2 + p3 * t4 + c16 * t8;
   const double p = lo + hi * t8;
   // 2^-k assembled from the exponent field (k in [0, 1022]).
-  const std::uint64_t bits = (1023ull - static_cast<std::uint64_t>(kd))
-                             << 52;
+  const std::uint64_t bits = static_cast<std::uint64_t>(1023 - k) << 52;
   double scale;
   std::memcpy(&scale, &bits, sizeof scale);
   return p * scale;

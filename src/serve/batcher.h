@@ -12,6 +12,11 @@
 // max_batch without ever reaching wait_until, so heavy load pays zero
 // added latency and light load pays at most max_linger.
 //
+// A zero linger closes a batch on whatever is queued when the first item
+// is popped. The dispatcher gives its sign and verify lanes max_linger_us
+// (grouping fills sign_many / verify_many) and its gauss and keygen lanes
+// zero: they gain nothing from waiting for company.
+//
 // It drains a lane's QosQueue, so a batch is popped in the queue's
 // priority and fair-share order. An idle lane thread simply parks on the
 // queue: spare cores are the process-wide executor's to use.

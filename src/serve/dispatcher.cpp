@@ -46,13 +46,15 @@ std::uint64_t gauss_shard_key(double sigma, double center) {
 }
 
 // The class properties the shared lane code reads: trace class (whose
-// name prefixes every series), lane count, and where the class's lanes
-// and latency quantiles land in a MetricsSnapshot.
+// name prefixes every series), lane count, whether its batches linger for
+// company (only where grouping fills sign_many / verify_many), and where
+// the class's lanes and latency quantiles land in a MetricsSnapshot.
 template <typename Req>
 struct ClassTraits;
 template <>
 struct ClassTraits<SignRequest> {
   static constexpr auto kClass = obs::RequestClass::kSign;
+  static constexpr bool kLingers = true;
   static int lane_count(const DispatcherOptions& o) { return o.sign_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::sign_lanes;
   static constexpr std::array kQuantiles = {
@@ -62,6 +64,7 @@ struct ClassTraits<SignRequest> {
 template <>
 struct ClassTraits<VerifyRequest> {
   static constexpr auto kClass = obs::RequestClass::kVerify;
+  static constexpr bool kLingers = true;
   static int lane_count(const DispatcherOptions& o) { return o.verify_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::verify_lanes;
   static constexpr std::array kQuantiles = {
@@ -71,6 +74,8 @@ struct ClassTraits<VerifyRequest> {
 template <>
 struct ClassTraits<KeygenRequest> {
   static constexpr auto kClass = obs::RequestClass::kKeygen;
+  // One job per group: a companion would only wait behind it.
+  static constexpr bool kLingers = false;
   // Exactly one keygen lane, always (see DispatcherOptions).
   static int lane_count(const DispatcherOptions&) { return 1; }
   static constexpr auto kSnapshot = &MetricsSnapshot::keygen_lanes;
@@ -81,6 +86,8 @@ struct ClassTraits<KeygenRequest> {
 template <>
 struct ClassTraits<GaussRequest> {
   static constexpr auto kClass = obs::RequestClass::kGauss;
+  // One request is already n/256 engine batches.
+  static constexpr bool kLingers = false;
   static int lane_count(const DispatcherOptions& o) { return o.gauss_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::gauss_lanes;
   static constexpr std::array kQuantiles = {
@@ -88,6 +95,13 @@ struct ClassTraits<GaussRequest> {
       &MetricsSnapshot::gauss_p99_us};
 };
 constexpr std::array kQuantileLevels = {0.50, 0.95, 0.99};
+
+// How long a batch of class Req waits for company after its first item.
+template <typename Req>
+std::chrono::microseconds linger(const DispatcherOptions& o) {
+  return std::chrono::microseconds(ClassTraits<Req>::kLingers ? o.max_linger_us
+                                                              : 0);
+}
 
 // The traits of a class-table entry (Dispatcher::RequestLanes<Req>).
 template <typename Entry>
@@ -166,11 +180,14 @@ Submission<typename Req::Result> Dispatcher::submit_impl(
     result.future = {};
     if (result.status != SubmitStatus::kShutdown) {
       // Backoff hint: how long this lane needs to drain its current depth
-      // at one batch per linger — never 0, a full queue always means wait.
+      // at one batch per the class's linger — never 0, a full queue always
+      // means wait.
       const std::uint64_t batches_ahead =
           lane.queue.size() / options_.max_batch + 1;
-      result.retry_after_ms = static_cast<std::uint32_t>(std::max<
-          std::uint64_t>(1, batches_ahead * options_.max_linger_us / 1000));
+      const auto linger_us =
+          static_cast<std::uint64_t>(linger<Req>(options_).count());
+      result.retry_after_ms = static_cast<std::uint32_t>(
+          std::max<std::uint64_t>(1, batches_ahead * linger_us / 1000));
     }
   }
   return result;
@@ -446,7 +463,7 @@ void Dispatcher::run_lane(Lane<Job<Req>>& lane) {
   const ClassTelemetry& telemetry = lanes_of<Req>().telemetry;
   if constexpr (std::is_same_v<Req, KeygenRequest>) lower_thread_priority();
   MicroBatcher<JobT> batcher(lane.queue, options_.max_batch,
-                             std::chrono::microseconds(options_.max_linger_us));
+                             linger<Req>(options_));
   // The one fail path: failed and expired requests count against the SLO
   // too (never the latency histogram, which records completions only).
   const auto fail = [&](JobT& job, obs::Counter& counter,

@@ -3,7 +3,8 @@
 // requests into full bit-sliced batches. Clients submit and get a future;
 // admission is a bounded QosQueue per lane (typed backpressure, never a
 // block); per-lane threads run one shared lane loop around a MicroBatcher
-// (close on max_batch or max_linger, whichever first) and hand closed
+// (close on max_batch or, on sign and verify lanes, max_linger, whichever
+// first) and hand closed
 // batches, grouped per class, to the blocking services:
 //
 //   submit(SignRequest) ──── shard by key fingerprint ──> sign lane ──┐
@@ -103,6 +104,9 @@ class DeadlineExpired : public Error {
 struct DispatcherOptions {
   std::size_t queue_capacity = 1024;  // per lane
   std::size_t max_batch = 64;        // requests per closed batch
+  /// How long a sign or verify batch waits for company after its first
+  /// request. Gauss and keygen lanes never linger (one gauss request is
+  /// already n/256 engine batches; keygen runs one job per group).
   std::uint64_t max_linger_us = 2000;
   int sign_lanes = 2;
   int verify_lanes = 1;

@@ -262,55 +262,61 @@ TEST(BitslicedSampler, BatchesMatchGoldenDigest) {
 }
 
 // The per-lane transpose the byte-parallel unpack must reproduce.
-void unpack_reference(const std::uint64_t* planes, int m,
-                      std::uint32_t* out) {
-  for (int lane = 0; lane < 64; ++lane) {
-    std::uint32_t v = 0;
-    for (int k = 0; k < m; ++k)
-      v |= static_cast<std::uint32_t>((planes[k] >> lane) & 1u) << k;
-    out[lane] = v;
-  }
+// Lane 64g + i of a batch, one lane at a time: bit i of each plane, then
+// negated iff bit i of the group's sign word is set.
+std::int32_t lane_reference(const std::uint64_t* planes, int groups, int m,
+                            const std::uint64_t* signs, int lane) {
+  const int g = lane / 64, i = lane % 64;
+  std::int32_t v = 0;
+  for (int k = 0; k < m; ++k)
+    v |= static_cast<std::int32_t>((planes[groups * k + g] >> i) & 1u) << k;
+  return (signs[g] >> i) & 1u ? -v : v;
+}
+
+template <typename Word>
+void check_unpack(const std::uint64_t* planes, int m,
+                  const std::uint64_t* signs) {
+  constexpr int kGroups = sizeof(Word) / sizeof(std::uint64_t);
+  std::int32_t got[64 * kGroups];
+  unpack_batch<Word>(planes, m, signs, got);
+  for (int lane = 0; lane < 64 * kGroups; ++lane)
+    ASSERT_EQ(got[lane], lane_reference(planes, kGroups, m, signs, lane))
+        << "groups=" << kGroups << " m=" << m << " lane=" << lane;
 }
 
 TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
-  for (std::uint64_t b = 0; b < 256; ++b)
-    for (int i = 0; i < 8; ++i)
-      ASSERT_EQ((spread_byte(b) >> (8 * i)) & 0xff, (b >> i) & 1u) << b;
-
-  // Every byte value in every byte of every plane, at every m <= 8.
-  std::uint32_t got[64], want[64];
+  // Every byte value in every byte of every plane and sign word, at every
+  // m on the byte path (m <= 7) and just past it.
   for (int m = 1; m <= 8; ++m) {
     for (std::uint64_t b = 0; b < 256; ++b) {
-      std::uint64_t planes[8];
-      for (int k = 0; k < m; ++k) {
-        planes[k] = 0;
+      std::uint64_t planes[4 * 8], signs[4];
+      for (int w = 0; w < 4 * 8; ++w) {
+        planes[w] = 0;
         for (int byte = 0; byte < 8; ++byte)
-          planes[k] |= ((b + 37 * static_cast<std::uint64_t>(k) +
+          planes[w] |= ((b + 37 * static_cast<std::uint64_t>(w) +
                          101 * static_cast<std::uint64_t>(byte)) &
                         0xff)
                        << (8 * byte);
       }
-      unpack_lanes(planes, 1, m, got);
-      unpack_reference(planes, m, want);
-      for (int lane = 0; lane < 64; ++lane)
-        ASSERT_EQ(got[lane], want[lane]) << "m=" << m << " b=" << b;
+      for (int g = 0; g < 4; ++g)
+        signs[g] = planes[g] ^ (0x5555555555555555ull << g);
+      check_unpack<std::uint64_t>(planes, m, signs);
+      check_unpack<Word256>(planes, m, signs);
     }
   }
 
-  // Wider magnitudes take the per-lane path; strided planes as in a
-  // 256-lane word.
+  // Random planes and signs, on both paths; all-zero signs leave plain
+  // magnitudes.
   prng::SplitMix64Source rng(5);
-  for (int m : {9, 12}) {
+  for (int m : {3, 5, 7, 9, 12}) {
     for (int it = 0; it < 100; ++it) {
-      std::uint64_t planes[4 * 12], group[12];
+      std::uint64_t planes[4 * 12], signs[4];
+      const std::uint64_t no_signs[4] = {};
       for (auto& w : planes) w = rng.next_word();
-      for (int g = 0; g < 4; ++g) {
-        for (int k = 0; k < m; ++k) group[k] = planes[4 * k + g];
-        unpack_lanes(planes + g, 4, m, got);
-        unpack_reference(group, m, want);
-        for (int lane = 0; lane < 64; ++lane)
-          ASSERT_EQ(got[lane], want[lane]) << "m=" << m << " g=" << g;
-      }
+      for (auto& w : signs) w = rng.next_word();
+      check_unpack<std::uint64_t>(planes, m, signs);
+      check_unpack<Word256>(planes, m, signs);
+      check_unpack<Word256>(planes, m, no_signs);
     }
   }
 }

@@ -443,10 +443,11 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
   opts.slo_latency_us = 60'000'000;  // only the failed request misses it
   Dispatcher d(registry(), opts);
 
-  // Several concurrent requests against the same target should collapse
-  // into few bulk sample() calls and come back with the right sizes. One
-  // invalid target rides in the same lane batch: recipe planning rejects
-  // it, which fails that request alone.
+  // Several concurrent requests against the same target come back with
+  // the right sizes; the lane does not linger, so a batch holds what was
+  // queued when the lane came free, at most one bulk sample() per target
+  // in it. One invalid target rides along: recipe planning rejects it,
+  // which fails that request alone.
   std::vector<std::future<std::vector<std::int32_t>>> futures;
   std::vector<std::size_t> sizes = {100, 1, 77, 1024, 3, 500};
   for (std::size_t n : sizes) {
@@ -484,6 +485,65 @@ TEST(Dispatcher, GaussRequestsBatchPerTargetAndSliceCorrectly) {
   for (const obs::Sample& s : d.obs_registry().collect())
     if (s.name == "cgs_cache_kernel_misses_total") exported_misses = s.value;
   EXPECT_EQ(exported_misses, static_cast<double>(m.kernel_cache.misses));
+}
+
+// Gauss and keygen lanes gain nothing from lingering (one gauss request is
+// already n/256 engine batches; keygen runs one job per group), so a lone
+// request runs at once however long max_linger_us is. The linger is long
+// and the bound half of it, so a sanitized Debug build, where the keygen
+// alone takes ~0.2 s, still passes; best of three, so a scheduling hiccup
+// does not read as a linger.
+TEST(Dispatcher, LoneGaussAndKeygenRequestsDoNotLinger) {
+  DispatcherOptions opts = fast_options();
+  opts.max_linger_us = 5'000'000;
+  Dispatcher d(registry(), opts);
+  const auto best_ms = [](auto submit) {
+    double best = 1e9;
+    for (int i = 0; i < 3; ++i) {
+      const auto t0 = Clock::now();
+      auto sub = submit(i);
+      EXPECT_TRUE(sub.ok());
+      sub.future.get();
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                Clock::now() - t0)
+                                .count());
+    }
+    return best;
+  };
+  const auto gauss = [&](int) {
+    return d.submit(serve::GaussRequest{.sigma = 30.0, .center = 0.5, .n = 4096});
+  };
+  const auto keygen = [&](int i) {
+    return d.submit(serve::KeygenRequest{
+        .params = falcon::FalconParams::for_degree(64),
+        .seed = 7000 + static_cast<std::uint64_t>(i)});
+  };
+  gauss(0).future.get();  // first touch builds the stream's samplers
+  keygen(0).future.get();
+  EXPECT_LT(best_ms(gauss), 2500.0);
+  EXPECT_LT(best_ms(keygen), 2500.0);
+}
+
+// The shed hint is the rejecting class's own drain time: a full gauss lane
+// does not linger, so its hint is the 1 ms floor, not a sign lane's linger.
+TEST(Dispatcher, FullGaussLaneHintsFromItsOwnLinger) {
+  DispatcherOptions opts = fast_options();
+  opts.queue_capacity = 2;
+  opts.max_linger_us = 50000;
+  Dispatcher d(registry(), opts);
+  std::vector<std::future<std::vector<std::int32_t>>> accepted;
+  Submission<std::vector<std::int32_t>> shed;
+  for (int i = 0; i < 1000; ++i) {
+    auto sub = d.submit(serve::GaussRequest{.sigma = 30.0, .center = 0.5, .n = 1 << 16});
+    if (!sub.ok()) {
+      shed = std::move(sub);
+      break;
+    }
+    accepted.push_back(std::move(sub.future));
+  }
+  ASSERT_EQ(shed.status, SubmitStatus::kQueueFull);
+  EXPECT_EQ(shed.retry_after_ms, 1u);
+  for (auto& f : accepted) EXPECT_EQ(f.get().size(), std::size_t{1} << 16);
 }
 
 TEST(Dispatcher, VerifyLaneBatchesVerdictsPerKey) {
