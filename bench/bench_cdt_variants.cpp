@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   if (ct::CompiledKernel::is_available()) {
     run("bitsliced_ct_compiled", [&] {
       return [s = ct::BufferedSampler(
-                  synth,
-                  ct::load_or_compile_kernel(ct::KernelSource(synth)).kernel),
+                  synth, ct::load_or_compile_kernel(ct::KernelSource(synth, 64))
+                             .kernel),
               rng = prng::SplitMix64Source(7)]() mutable {
         return s.sample(rng);
       };

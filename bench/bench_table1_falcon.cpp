@@ -71,7 +71,8 @@ std::vector<SamplerEntry> make_samplers(const gauss::ProbMatrix& matrix,
   if (ct::CompiledKernel::is_available())
     v.push_back({"this work, compiled (CT)    ", "bitsliced_compiled",
                  std::make_unique<ct::BufferedSampler>(
-                     *synth, engine::SamplerRegistry::global().kernel(*synth))});
+                     *synth,
+                     engine::SamplerRegistry::global().kernel(*synth, 64))});
   return v;
 }
 

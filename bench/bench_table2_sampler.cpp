@@ -90,7 +90,7 @@ void run_sigma(const char* label, const gauss::GaussianParams& params,
     // The paper's numbers are for compiled generated C — this row is the
     // faithful comparison.
     const auto compiled = [](ct::SynthesizedSampler s) {
-      auto kernel = ct::load_or_compile_kernel(ct::KernelSource(s)).kernel;
+      auto kernel = ct::load_or_compile_kernel(ct::KernelSource(s, 64)).kernel;
       return ct::BitslicedSampler(std::move(s), std::move(kernel));
     };
     ct::BitslicedSampler csplit = compiled(ct::synthesize(matrix, {}));

@@ -9,16 +9,15 @@
 
 namespace cgs::bf {
 
-/// C11 source for:
-///   void <name>(const uint64_t in[num_inputs], uint64_t out[num_outputs]);
-std::string emit_c(const Netlist& nl, const std::string& name);
-
-/// Same straight-line netlist on 4x64 = 256 lanes via GCC vector
-/// extensions (the paper's §3.2 word-width scaling, applied to the
-/// compiled artifact): in/out are 4 uint64 words per netlist bit,
-/// group-major (word g of bit k at index 4*k + g). The typedef carries
-/// aligned(8) so callers need not over-align their buffers.
-///   void <name>(const uint64_t in[4*num_inputs], uint64_t out[4*num_outputs]);
-std::string emit_c_wide(const Netlist& nl, const std::string& name);
+/// C11 source for the netlist on 64 * `words` lanes:
+///   void <name>(const uint64_t in[words*num_inputs],
+///               uint64_t out[words*num_outputs]);
+/// words = 1 is the paper's form, one uint64_t per netlist bit. words = 4
+/// or 8 run the same straight-line netlist on GCC vector words of that many
+/// uint64s (256 or 512 lanes: the paper's §3.2 word-width scaling, applied
+/// to the compiled artifact), group-major: word g of bit k at index
+/// words*k + g. The vector typedef carries aligned(8) so callers need not
+/// over-align their buffers.
+std::string emit_c(const Netlist& nl, const std::string& name, int words = 1);
 
 }  // namespace cgs::bf

@@ -5,11 +5,19 @@
 // of input word k is path bit b_k of sample i.
 //
 // The lane word is the template parameter: std::uint64_t is the paper's
-// 64-lane word, Word256 a GCC vector of four (256 lanes; AVX2 where
-// available, SSE pairs otherwise). The evaluator is picked at construction:
-// the interpreted netlist, or the compiled kernel's entry point for that
-// width. Everything around the evaluation — the lane unpack, the sign fold,
-// the valid mask and the compaction of valid lanes — exists once, here.
+// 64-lane word, Word256 and Word512 GCC vectors of four and eight (256 and
+// 512 lanes; AVX2 / AVX-512 in a host-compiled kernel). The evaluator is
+// picked at construction: the interpreted netlist, or the compiled
+// kernel's entry point for that width. Everything around the evaluation —
+// the random draw, the lane unpack, the sign fold, the valid mask and the
+// compaction of valid lanes — exists once, here.
+//
+// Random words are drawn in units of 256 lanes (kDrawUnitLanes): per unit,
+// its 4 words per precision bit, then its 4 sign words. A 512-lane pass
+// evaluates two consecutive units, drawn in that order, and fill() draws
+// only the units a request still needs, so a 256- and a 512-lane runner
+// give one stream per seed. The 512-lane unpack runs in registers where
+// the host has AVX-512 VBMI (prng/isa.h).
 
 #include <array>
 #include <cstdint>
@@ -27,6 +35,19 @@ namespace cgs::ct {
 /// bit k of samples 64g..64g+63 — in the flat uint64 layout the runner and
 /// the compiled 256-lane kernel use, word g of bit k sits at index 4k + g.
 using Word256 = std::uint64_t __attribute__((vector_size(32)));
+/// Eight lane groups: two 256-lane draw units side by side, unit u in
+/// groups 4u..4u+3.
+using Word512 = std::uint64_t __attribute__((vector_size(64)));
+
+/// Lanes per random-draw unit (see the file comment).
+inline constexpr int kDrawUnitLanes = 256;
+
+/// The lane width the engine runs a compiled kernel at on this host: 512
+/// where AVX-512 VBMI is present (prng::host_vector_isa()), so the pass
+/// comes with the in-register unpack, else 256. AVX-512F without VBMI
+/// stays at 256: the 512-lane pass with the generic unpack has not been
+/// measured on such a host.
+int host_kernel_lanes();
 
 /// Lane transpose of one batch, all lane groups at once, with the sign
 /// fold: plane k (`planes[k * G + g]`, G = the Word's 64-bit groups) holds
@@ -40,11 +61,22 @@ template <typename Word>
 void unpack_batch(const std::uint64_t* planes, int m,
                   const std::uint64_t* signs, std::int32_t* out);
 
+#if defined(__x86_64__)
+/// unpack_batch<Word512> with the m <= 7 byte path in registers
+/// (ct/lane_unpack.h); m > 7 goes lane by lane. Needs
+/// prng::host_vector_isa() >= VectorIsa::kAvx512vbmi.
+void unpack_batch_avx512(const std::uint64_t* planes, int m,
+                         const std::uint64_t* signs, std::int32_t* out);
+#endif
+
 template <typename Word>
 class BatchSampler {
  public:
   static constexpr int kGroups = sizeof(Word) / sizeof(std::uint64_t);
   static constexpr int kBatch = 64 * kGroups;
+  /// Lanes per random-draw unit: 256, or the whole batch if narrower.
+  static constexpr int kUnitLanes =
+      kBatch < kDrawUnitLanes ? kBatch : kDrawUnitLanes;
   /// Bit i of mask[g] is set iff lane 64g + i hit a DDG leaf (~always
   /// all-ones at cryptographic precision).
   using Mask = std::array<std::uint64_t, kGroups>;
@@ -59,39 +91,56 @@ class BatchSampler {
   const SynthesizedSampler& synth() const { return synth_; }
   bool compiled() const { return kernel_ != nullptr; }
 
-  /// Random words consumed per batch: kGroups per precision bit plus
+  /// Random words consumed per full batch: kGroups per precision bit plus
   /// kGroups sign words.
   int words_per_batch() const { return kGroups * (synth_.precision + 1); }
 
-  /// One batch of magnitudes; `out` must hold kBatch entries.
+  /// One batch of magnitudes, every unit drawn; `out` must hold kBatch
+  /// entries.
   Mask sample_magnitudes(RandomBitSource& rng, std::span<std::uint32_t> out);
 
   /// One batch of signed samples: the magnitudes, then one sign word per
   /// lane group.
   Mask sample_batch(RandomBitSource& rng, std::span<std::int32_t> out);
 
+  using Unpack = void (*)(const std::uint64_t*, int, const std::uint64_t*,
+                          std::int32_t*);
+  /// The unpack this runner uses on this host: unpack_batch<Word>, or for
+  /// Word512 on AVX-512 VBMI hosts unpack_batch_avx512.
+  static Unpack select_unpack();
+
   /// Fills `out` with the valid lanes of as many batches as it takes; the
-  /// rest of the last batch is dropped. Batches land straight in `out`
-  /// while a whole one fits, compacted in place only if a lane is invalid.
+  /// rest of the last batch is dropped, and a pass draws only the units
+  /// still needed. Batches land straight in `out` while a whole one fits,
+  /// compacted in place only if a lane is invalid.
   void fill(RandomBitSource& rng, std::span<std::int32_t> out);
 
  private:
-  /// One batch into `out` (kBatch entries): the random inputs, the netlist
-  /// pass, then, if `with_signs`, one sign word per lane group.
-  Mask run(RandomBitSource& rng, bool with_signs, std::int32_t* out);
+  static constexpr int kUnits = kBatch / kUnitLanes;
+  static constexpr int kUnitGroups = kUnitLanes / 64;
+
+  /// One batch into `out` (kBatch entries) from the first `units` draw
+  /// units: their random inputs and, if `with_signs`, sign words, the
+  /// netlist pass and the unpack. Lanes of units not drawn are invalid.
+  Mask run(RandomBitSource& rng, bool with_signs, std::int32_t* out,
+           int units = kUnits);
   void eval();
 
   SynthesizedSampler synth_;
   std::shared_ptr<const CompiledKernel> kernel_;  // null: interpreted
   CompiledKernel::Fn fn_ = nullptr;
-  // Flat lane words, kGroups per netlist bit (see Word256).
-  std::vector<std::uint64_t> in_, out_;
+  Unpack unpack_ = select_unpack();
+  // Flat lane words, kGroups per netlist bit (see Word256). With one unit
+  // per pass the draw lands in `in_` and its sign words trail the inputs;
+  // wider words draw into `draw_` and spread each unit into its groups.
+  std::vector<std::uint64_t> in_, out_, draw_;
   // Interpreter only: one Word per node, then the inputs and outputs.
   std::vector<Word> scratch_;
 };
 
 extern template class BatchSampler<std::uint64_t>;
 extern template class BatchSampler<Word256>;
+extern template class BatchSampler<Word512>;
 
 using BitslicedSampler = BatchSampler<std::uint64_t>;
 using WideBitslicedSampler = BatchSampler<Word256>;

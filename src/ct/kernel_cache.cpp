@@ -40,8 +40,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr FlagRung kRungs[] = {FlagRung::kNative, FlagRung::kGeneric,
-                               FlagRung::kScalar};
+constexpr FlagRung kRungs[] = {FlagRung::kNative, FlagRung::kGeneric};
 
 // Compiler output kept for the error message; the rest is drained unread.
 constexpr std::size_t kMaxOutput = 16 * 1024;
@@ -168,7 +167,7 @@ std::string probe_cpu() {
 
 std::vector<std::string> rung_flags(FlagRung rung) {
   // The kernel runs on the host it was compiled on — exactly the case
-  // -march=native exists for (the 256-lane form roughly doubles on AVX2).
+  // -march=native exists for (the vector forms run on AVX2 / AVX-512).
   // -Og, not -O2: a kernel is one straight-line gate list, and GCC's
   // temporary expression replacement (-O1 and up) sinks each gate into its
   // use, stretching live ranges until the kernel spills. Together with the
@@ -183,15 +182,6 @@ std::vector<std::string> rung_flags(FlagRung rung) {
 std::uint64_t hash_text(std::string_view text) {
   return serial::hash64(std::span(
       reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
-/// The hash of two parts from their hashes: the 256-lane source is keyed
-/// without a concatenated second copy of the text.
-std::uint64_t combine(std::uint64_t a, std::uint64_t b) {
-  std::uint8_t bytes[16];
-  std::memcpy(bytes, &a, 8);
-  std::memcpy(bytes + 8, &b, 8);
-  return serial::hash64(bytes);
 }
 
 /// Owned by us, not writable by group or others, and of the wanted type.
@@ -340,7 +330,8 @@ class LoadedObjects {
 KernelLoad bind(std::shared_ptr<void> object, const KernelSource& source,
                 std::size_t bytes, bool warm_start) {
   return {std::make_shared<const CompiledKernel>(
-              std::move(object), source.num_inputs(), source.num_outputs()),
+              std::move(object), source.lanes(), source.num_inputs(),
+              source.num_outputs()),
           bytes, warm_start};
 }
 
@@ -434,22 +425,16 @@ const std::string& cpu_signature() {
 
 bool CompiledKernel::is_available() { return host_compiler() != nullptr; }
 
-KernelSource::KernelSource(const SynthesizedSampler& synth)
-    : scalar_(bf::emit_c(synth.netlist, "cgs_kernel")),
-      wide_(bf::emit_c_wide(synth.netlist, "cgs_kernel_w4")),
-      scalar_hash_(hash_text(scalar_)),
-      wide_hash_(combine(scalar_hash_, hash_text(wide_))),
+KernelSource::KernelSource(const SynthesizedSampler& synth, int lanes)
+    : text_(bf::emit_c(synth.netlist, kernel_symbol(lanes), lanes / 64)),
+      hash_(hash_text(text_)),
+      lanes_(lanes),
       num_inputs_(static_cast<std::size_t>(synth.netlist.num_inputs())),
       num_outputs_(synth.netlist.outputs().size()) {}
 
-std::uint64_t KernelSource::hash(FlagRung rung) const {
-  return rung == FlagRung::kScalar ? scalar_hash_ : wide_hash_;
-}
-
-bool KernelSource::write(FlagRung rung, const std::string& path) const {
+bool KernelSource::write(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << scalar_;
-  if (rung != FlagRung::kScalar) out << "\n" << wide_;
+  out << text_;
   return out.good();
 }
 
@@ -469,18 +454,11 @@ std::string kernel_cache_key(std::uint64_t source_hash,
   return key;
 }
 
-std::string kernel_key(const KernelSource& source) {
-  return kernel_cache_key(source.hash(FlagRung::kNative),
-                          require_compiler().identity, FlagRung::kNative,
-                          cpu_signature());
-}
-
 KernelLoad load_or_compile_kernel(const KernelSource& source,
                                   const std::string& dir) {
   const HostCompiler& cc = require_compiler();
   const auto key_for = [&](FlagRung rung) {
-    return kernel_cache_key(source.hash(rung), cc.identity, rung,
-                            cpu_signature());
+    return kernel_cache_key(source.hash(), cc.identity, rung, cpu_signature());
   };
 
   Fd kernel_dir = open_kernel_dir(dir);
@@ -510,16 +488,13 @@ KernelLoad load_or_compile_kernel(const KernelSource& source,
                 std::string(std::strerror(errno)));
 
   // Down the ladder: a compiler without -march=native gets the generic
-  // rung, one without GCC vector extensions rejects the 256-lane function
-  // and gets the 64-lane source alone.
+  // rung. One without GCC vector extensions fails both on a vector form.
   const std::string c_path = stage->file("k.c");
   const std::string so_path = stage->file("k.so");
+  if (!source.write(c_path)) throw Error("kernel: cannot write " + c_path);
   std::string output;
   std::optional<FlagRung> built;
   for (FlagRung rung : kRungs) {
-    // The generic rung recompiles the native rung's source.
-    if (rung != FlagRung::kGeneric && !source.write(rung, c_path))
-      throw Error("kernel: cannot write " + c_path);
     std::vector<std::string> args{cc.program};
     for (std::string& flag : rung_flags(rung)) args.push_back(std::move(flag));
     args.insert(args.end(), {"-o", so_path, c_path});

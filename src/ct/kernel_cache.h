@@ -39,27 +39,28 @@ namespace cgs::ct {
 
 class CompiledKernel;
 
-/// The compile ladder, best first: native with the 256-lane form, generic
-/// with it (a compiler without -march=native), the 64-lane form alone (a
-/// compiler without GCC vector extensions).
-enum class FlagRung { kNative, kGeneric, kScalar };
+/// The compile ladder, best first: native, then generic (a compiler
+/// without -march=native).
+enum class FlagRung { kNative, kGeneric };
 
-/// The emitted C of one kernel: the 64-lane function, followed by its
-/// 256-lane form for the native and generic rungs.
+/// The emitted C of one kernel: the netlist's entry point at one lane
+/// width (bf::emit_c at lanes / 64 words, named kernel_symbol(lanes)).
 class KernelSource {
  public:
-  explicit KernelSource(const SynthesizedSampler& synth);
+  KernelSource(const SynthesizedSampler& synth, int lanes);
 
-  /// Content hash of the rung's source text.
-  std::uint64_t hash(FlagRung rung) const;
-  /// Writes the rung's source text to `path`; false on an I/O error.
-  bool write(FlagRung rung, const std::string& path) const;
+  /// Content hash of the source text.
+  std::uint64_t hash() const { return hash_; }
+  /// Writes the source text to `path`; false on an I/O error.
+  bool write(const std::string& path) const;
+  int lanes() const { return lanes_; }
   std::size_t num_inputs() const { return num_inputs_; }
   std::size_t num_outputs() const { return num_outputs_; }
 
  private:
-  std::string scalar_, wide_;  // the 64-lane function; its 256-lane form
-  std::uint64_t scalar_hash_, wide_hash_;
+  std::string text_;
+  std::uint64_t hash_;
+  int lanes_;
   std::size_t num_inputs_, num_outputs_;
 };
 
@@ -71,11 +72,6 @@ class KernelSource {
 std::string kernel_cache_key(std::uint64_t source_hash,
                              std::string_view compiler_identity,
                              FlagRung rung, std::string_view cpu_signature);
-
-/// The key `source` is memoized under in this process: its native-rung
-/// key for this host's compiler (`cc`, else `gcc`, probed once per process)
-/// and CPU. Throws cgs::Error when there is no host compiler.
-std::string kernel_key(const KernelSource& source);
 
 struct KernelLoad {
   std::shared_ptr<const CompiledKernel> kernel;

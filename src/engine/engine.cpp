@@ -3,6 +3,7 @@
 #include <functional>
 #include <span>
 #include <thread>
+#include <variant>
 
 #include "common/check.h"
 #include "common/randombits.h"
@@ -24,22 +25,35 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-// One slot = one PRNG stream + one 256-lane runner. The compiled kernel
-// itself lives on the engine (stateless eval); the runner's buffers, and
-// the interpreter's scratch, are per slot.
+// One slot = one PRNG stream + one runner at the engine's lane width. The
+// compiled kernel itself lives on the engine (stateless eval); the runner's
+// buffers, and the interpreter's scratch, are per slot.
 struct SamplerEngine::Slot {
-  Slot(SamplerEngine& engine, std::uint64_t seed)
-      : rng(seed),
-        sampler(engine.kernel_
-                    ? ct::WideBitslicedSampler(*engine.synth_, engine.kernel_)
-                    : ct::WideBitslicedSampler(*engine.synth_)) {}
+  using Runner = std::variant<ct::BatchSampler<ct::Word256>,
+                              ct::BatchSampler<ct::Word512>>;
+
+  Slot(const SamplerEngine& engine, std::uint64_t seed)
+      : rng(seed), runner(make_runner(engine)) {}
+
+  static Runner make_runner(const SamplerEngine& engine) {
+    if (!engine.kernel_)
+      return Runner(std::in_place_index<0>, *engine.synth_);
+    if (engine.kernel_->lanes() == 512)
+      return Runner(std::in_place_index<1>, *engine.synth_, engine.kernel_);
+    return Runner(std::in_place_index<0>, *engine.synth_, engine.kernel_);
+  }
+
+  void fill(std::span<std::int32_t> out) {
+    std::visit([&](auto& runner) { runner.fill(rng, out); }, runner);
+  }
 
   prng::ChaCha20Source rng;
-  // Both evaluators consume `rng` in one order — 4 interleaved words per
-  // input bit, then 4 sign words — so for a fixed seed the engine's sample
-  // stream is bit-identical across compiled and interpreted (the
-  // cross-backend differential grid in test_service holds this).
-  ct::WideBitslicedSampler sampler;
+  // Every runner consumes `rng` in one order — per 256-lane unit, 4
+  // interleaved words per input bit, then 4 sign words — so for a fixed
+  // seed the engine's sample stream is bit-identical across compiled and
+  // interpreted, 256 and 512 lanes (Engine.StreamsIdenticalAcross* and the
+  // cross-backend differential grid in test_service hold this).
+  Runner runner;
 };
 
 SamplerEngine::SamplerEngine(
@@ -50,13 +64,14 @@ SamplerEngine::SamplerEngine(
   if (backend_ == Backend::kAuto || backend_ == Backend::kCompiled) {
     if (ct::CompiledKernel::is_available()) {
       try {
+        // A compiler without GCC vector extensions fails here: the
+        // compiled backend is unavailable there.
+        const int lanes = ct::host_kernel_lanes();
         kernel_ = options.registry
-                      ? options.registry->kernel(*synth_)
-                      : ct::load_or_compile_kernel(ct::KernelSource(*synth_))
+                      ? options.registry->kernel(*synth_, lanes)
+                      : ct::load_or_compile_kernel(
+                            ct::KernelSource(*synth_, lanes))
                             .kernel;
-        // The scalar rung (a compiler without vector extensions) has no
-        // 256-lane form: the compiled backend is unavailable there.
-        CGS_CHECK_MSG(kernel_->has_wide(), "kernel has no 256-lane form");
         backend_ = Backend::kCompiled;
       } catch (const Error& e) {
         CGS_CHECK_MSG(backend_ != Backend::kCompiled,
@@ -82,17 +97,22 @@ SamplerEngine::SamplerEngine(
 
 SamplerEngine::~SamplerEngine() = default;
 
+int SamplerEngine::lanes() const {
+  return kernel_ ? kernel_->lanes() : ct::WideBitslicedSampler::kBatch;
+}
+
 void SamplerEngine::sample(std::span<std::int32_t> out) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::size_t n = out.size();
   if (n == 0) return;
 
-  // Below one batch per slot a fan-out costs more than it saves — and a
-  // slot handed less than one batch still pays a full 256-lane netlist
-  // eval to keep a fraction of it. Serve inline from slot 0's stream.
+  // Below one draw unit per slot a fan-out costs more than it saves — and
+  // a slot handed less than one unit still pays a full netlist eval to keep
+  // a fraction of it. Serve inline from slot 0's stream. The threshold is
+  // in draw units, not batches, so the split does not depend on the width.
   const std::size_t num_slots = slots_.size();
-  if (num_slots == 1 || n < num_slots * ct::WideBitslicedSampler::kBatch) {
-    slots_[0]->sampler.fill(slots_[0]->rng, out);
+  if (num_slots == 1 || n < num_slots * ct::kDrawUnitLanes) {
+    slots_[0]->fill(out);
   } else {
     const std::size_t chunk = (n + num_slots - 1) / num_slots;
     std::vector<std::function<void()>> tasks;
@@ -103,7 +123,7 @@ void SamplerEngine::sample(std::span<std::int32_t> out) {
           out.subspan(begin, std::min(chunk, n - begin));
       Slot& slot = *slots_[i];
       tasks.push_back([&slot, slice] {
-        if (!slice.empty()) slot.sampler.fill(slot.rng, slice);
+        if (!slice.empty()) slot.fill(slice);
       });
     }
     TaskCrew::shared().run(std::move(tasks));

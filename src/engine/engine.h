@@ -1,19 +1,22 @@
 #pragma once
 // SamplerEngine: the online half of the offline/online split — a batch
-// sampling service over one synthesized netlist. Every slot runs the one
-// 256-lane runner (ct::BatchSampler<Word256>) with the fastest evaluator
-// available on this machine: compiled ▸ interpreted. Compiled is the
-// CompiledKernel's 256-lane entry point (the netlist emitted as C and
-// host-compiled, with -march=native when the flag exists); a host without
-// a compiler, or whose compiler rejects GCC vector extensions, gets the
-// interpreted netlist on the same 256-lane word. A bulk request is split
-// into one slice per slot and the slices run as one batch on the
-// process-wide executor (common/task_crew.h). Each slot owns an
+// sampling service over one synthesized netlist. Every slot runs one
+// bit-sliced runner (ct::BatchSampler) with the fastest evaluator available
+// on this machine: compiled ▸ interpreted. Compiled is the CompiledKernel's
+// entry point at the host's widest lane word, picked once at run time
+// (ct::host_kernel_lanes(): 512 lanes on AVX-512 VBMI hosts, else 256), the
+// netlist emitted as C and host-compiled with -march=native when the flag
+// exists. A host without a compiler, or whose compiler rejects GCC vector
+// extensions, gets the interpreted netlist on the 256-lane word. A bulk
+// request is split into one slice per slot and the slices run as one batch
+// on the process-wide executor (common/task_crew.h). Each slot owns an
 // independent ChaCha20 stream whose key is derived from the engine's root
 // seed and the slot index (SplitMix64 mixing), and slice i is always drawn
-// from slot i's stream, whichever thread runs it. Output is therefore fully
-// deterministic for a fixed (root_seed, num_threads, request size), no two
-// slots ever share PRNG state, and both evaluators emit the same stream.
+// from slot i's stream, whichever thread runs it. Every runner draws its
+// random words in 256-lane units (ct/batch_sampler.h), and a slice needs
+// only the units it keeps. Output is therefore fully deterministic for a
+// fixed (root_seed, num_threads, request size), no two slots ever share
+// PRNG state, and every evaluator and lane width emits the same stream.
 // The compiled kernel is loaded once and shared by all slots (its eval is
 // stateless) — from the registry's per-machine kernel cache when
 // EngineOptions::registry is set.
@@ -38,7 +41,7 @@ class SamplerRegistry;
 
 enum class Backend {
   kAuto,      // pick the fastest available at construction
-  kCompiled,  // host-compiled 256-lane kernel (throws if unavailable)
+  kCompiled,  // host-compiled kernel, widest lanes (throws if unavailable)
   kWide,      // 256-lane interpreted netlist
 };
 
@@ -70,6 +73,9 @@ class SamplerEngine {
   /// The backend actually selected (never kAuto).
   Backend backend() const { return backend_; }
   int num_threads() const { return static_cast<int>(slots_.size()); }
+  /// Lanes per netlist pass: the compiled kernel's width, or 256
+  /// interpreted.
+  int lanes() const;
   const ct::SynthesizedSampler& synth() const { return *synth_; }
 
   /// Fill `out` with signed base-Gaussian samples, the request split evenly

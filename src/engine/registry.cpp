@@ -6,11 +6,13 @@
 #include <filesystem>
 #include <iomanip>
 #include <sstream>
+#include <vector>
 
 #include "common/check.h"
 #include "ct/kernel_cache.h"
 #include "gauss/probmatrix.h"
 #include "serial/formats.h"
+#include "serial/serial.h"
 
 namespace cgs::engine {
 
@@ -45,6 +47,29 @@ std::size_t sampler_footprint_bytes(const ct::SynthesizedSampler& s) {
          s.netlist.nodes().capacity() * sizeof(bf::Node) +
          s.netlist.outputs().capacity() * sizeof(std::int32_t) +
          s.netlist.nodes().size() * sizeof(std::uint64_t);
+}
+
+// The kernel memo key: hash64 of the netlist's structure (input count,
+// every node's op and operands, the outputs), which is all the emitted C
+// depends on, plus the lane width. Deriving it emits nothing.
+std::string kernel_memo_key(const bf::Netlist& nl, int lanes) {
+  std::vector<std::uint32_t> words{
+      static_cast<std::uint32_t>(nl.num_inputs()),
+      static_cast<std::uint32_t>(nl.nodes().size())};
+  words.reserve(2 + 3 * nl.nodes().size() + nl.outputs().size());
+  for (const bf::Node& n : nl.nodes())
+    words.insert(words.end(), {static_cast<std::uint32_t>(n.op),
+                               static_cast<std::uint32_t>(n.a),
+                               static_cast<std::uint32_t>(n.b)});
+  for (const std::int32_t o : nl.outputs())
+    words.push_back(static_cast<std::uint32_t>(o));
+  const std::uint64_t h = serial::hash64(std::span(
+      reinterpret_cast<const std::uint8_t*>(words.data()),
+      words.size() * sizeof(std::uint32_t)));
+  std::ostringstream os;
+  os << std::hex << std::setfill('0') << std::setw(16) << h << "-w"
+     << std::dec << lanes;
+  return os.str();
 }
 
 SamplerRegistry::Source to_source(
@@ -223,12 +248,12 @@ gauss::ConvolutionRecipe SamplerRegistry::get_recipe(double target_sigma,
 }
 
 SamplerRegistry::KernelPtr SamplerRegistry::kernel(
-    const ct::SynthesizedSampler& synth) {
-  const ct::KernelSource source(synth);
-  auto pinned =
-      kernels_.get_or_build(ct::kernel_key(source), [&]() -> KernelCache::Built {
+    const ct::SynthesizedSampler& synth, int lanes) {
+  auto pinned = kernels_.get_or_build(
+      kernel_memo_key(synth.netlist, lanes), [&]() -> KernelCache::Built {
         ct::KernelLoad load = ct::load_or_compile_kernel(
-            source, options_.use_disk ? options_.cache_dir + "/kernels" : "");
+            ct::KernelSource(synth, lanes),
+            options_.use_disk ? options_.cache_dir + "/kernels" : "");
         return {std::move(load.kernel), load.bytes, load.warm_start};
       });
   return pinned.value();

@@ -16,9 +16,9 @@
 // Corrupted, truncated or version-skewed cache files are rejected by the
 // serial layer and silently fall back to re-synthesis (then overwritten).
 //
-// The registry also memoizes the host-compiled kernel of each netlist
-// (kernel()): with use_disk it is loaded from <cache_dir>/kernels, keyed by
-// the emitted C, the compiler, the flag rung and the CPU signature
+// The registry also memoizes the host-compiled kernel of each netlist and
+// lane width (kernel()): with use_disk it is loaded from <cache_dir>/kernels,
+// keyed by the emitted C, the compiler, the flag rung and the CPU signature
 // (ct/kernel_cache.h), so a kernel compiles once per machine rather than
 // once per process.
 
@@ -101,12 +101,15 @@ class SamplerRegistry {
 
   using KernelPtr = std::shared_ptr<const ct::CompiledKernel>;
 
-  /// The host-compiled kernel for `synth`'s netlist: memoized by content
-  /// key, and with use_disk loaded from <cache_dir>/kernels (verified
-  /// owner, mode and hash) instead of recompiled, then persisted there on a
-  /// compile. Thread-safe and single-flight per key. Throws cgs::Error when
-  /// there is no host compiler or no compile rung succeeds.
-  KernelPtr kernel(const ct::SynthesizedSampler& synth);
+  /// The host-compiled kernel for `synth`'s netlist with the one entry
+  /// point for `lanes` lanes (64, 256 or 512; ct/compiled_sampler.h). The
+  /// in-process memo is keyed by a hash of the netlist's structure and the
+  /// width, so a hit emits no C; a miss emits the source and, with
+  /// use_disk, loads it from <cache_dir>/kernels (verified owner, mode and
+  /// hash) instead of recompiling, then persists it there on a compile.
+  /// Thread-safe and single-flight per key. Throws cgs::Error when there is
+  /// no host compiler or no compile rung succeeds.
+  KernelPtr kernel(const ct::SynthesizedSampler& synth, int lanes);
 
   /// Drop the in-process memo (disk cache untouched). Mostly for tests and
   /// cache-hierarchy benches.

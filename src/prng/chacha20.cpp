@@ -150,6 +150,7 @@ ChaChaCore chacha20_core(VectorIsa isa) {
     case VectorIsa::kAvx2:
       return core_avx2;
     case VectorIsa::kAvx512f:
+    case VectorIsa::kAvx512vbmi:
       return core_avx512f;
 #endif
     default:

@@ -13,7 +13,7 @@ namespace {
 
 std::shared_ptr<const CompiledKernel> private_kernel(
     const SynthesizedSampler& synth) {
-  return load_or_compile_kernel(KernelSource(synth)).kernel;
+  return load_or_compile_kernel(KernelSource(synth, 64)).kernel;
 }
 
 class CompiledVsInterpreted : public ::testing::TestWithParam<int> {};

@@ -164,19 +164,27 @@ TEST_F(TimingFixture, BitslicedSamplerFlat) {
 }
 
 TEST_F(TimingFixture, CompiledWideRunnerFlat) {
-  // The engine's production path: the compiled 256-lane kernel plus the
-  // table-free byte-parallel unpack (magnitudes fit a byte at sigma = 2).
+  // The engine's production paths: the compiled kernel at both widths the
+  // engine picks (256 lanes on AVX2 hosts, 512 on AVX-512 VBMI hosts) plus
+  // the table-free byte-parallel unpack (in registers for 512 lanes on
+  // VBMI hosts; magnitudes fit a byte at sigma = 2).
   if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
   const ct::SynthesizedSampler synth = ct::synthesize(matrix_, {});
-  auto kernel = ct::load_or_compile_kernel(ct::KernelSource(synth)).kernel;
-  if (!kernel->has_wide()) GTEST_SKIP() << "kernel has no 256-lane form";
-  ct::WideBitslicedSampler s(synth, std::move(kernel));
   ASSERT_LE(synth.num_output_bits, 8);
-  std::uint32_t out[256];
-  const auto r = stats::dudect(
-      [&](int cls) { (void)s.sample_magnitudes(source_for(cls), out); },
-      {.measurements = 8000, .warmup = 500, .keep_percentile = 0.9});
-  EXPECT_LT(std::fabs(r.t), 30.0) << r.describe();
+  const auto expect_flat = [&]<typename Word>(ct::BatchSampler<Word> runner) {
+    constexpr int kLanes = ct::BatchSampler<Word>::kBatch;
+    SCOPED_TRACE(::testing::Message() << kLanes << " lanes");
+    std::uint32_t out[kLanes];
+    const auto r = stats::dudect(
+        [&](int cls) { (void)runner.sample_magnitudes(source_for(cls), out); },
+        {.measurements = 8000, .warmup = 500, .keep_percentile = 0.9});
+    EXPECT_LT(std::fabs(r.t), 30.0) << r.describe();
+  };
+  const auto kernel = [&](int lanes) {
+    return ct::load_or_compile_kernel(ct::KernelSource(synth, lanes)).kernel;
+  };
+  expect_flat(ct::BatchSampler<ct::Word256>(synth, kernel(256)));
+  expect_flat(ct::BatchSampler<ct::Word512>(synth, kernel(512)));
 }
 
 TEST_F(TimingFixture, LinearCdtFlat) {

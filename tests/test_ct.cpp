@@ -12,6 +12,7 @@
 #include "ct/synthesis.h"
 #include "ddg/kysampler.h"
 #include "prng/chacha20.h"
+#include "prng/isa.h"
 #include "prng/splitmix.h"
 #include "stats/chisquare.h"
 
@@ -273,15 +274,36 @@ std::int32_t lane_reference(const std::uint64_t* planes, int groups, int m,
   return (signs[g] >> i) & 1u ? -v : v;
 }
 
-template <typename Word>
-void check_unpack(const std::uint64_t* planes, int m,
+using Unpack = void (*)(const std::uint64_t*, int, const std::uint64_t*,
+                        std::int32_t*);
+
+struct UnpackCase {
+  const char* name;
+  Unpack unpack;
+  int groups;
+};
+
+/// Every unpack: the generic one at each lane word and, where the host
+/// runs it, the 512-lane one in registers.
+std::vector<UnpackCase> unpacks() {
+  std::vector<UnpackCase> v = {
+      {"64", unpack_batch<std::uint64_t>, 1},
+      {"256", unpack_batch<Word256>, 4},
+      {"512", unpack_batch<Word512>, 8}};
+#if defined(__x86_64__)
+  if (prng::host_vector_isa() >= prng::VectorIsa::kAvx512vbmi)
+    v.push_back({"512 in registers", unpack_batch_avx512, 8});
+#endif
+  return v;
+}
+
+void check_unpack(const UnpackCase& u, const std::uint64_t* planes, int m,
                   const std::uint64_t* signs) {
-  constexpr int kGroups = sizeof(Word) / sizeof(std::uint64_t);
-  std::int32_t got[64 * kGroups];
-  unpack_batch<Word>(planes, m, signs, got);
-  for (int lane = 0; lane < 64 * kGroups; ++lane)
-    ASSERT_EQ(got[lane], lane_reference(planes, kGroups, m, signs, lane))
-        << "groups=" << kGroups << " m=" << m << " lane=" << lane;
+  std::int32_t got[512];
+  u.unpack(planes, m, signs, got);
+  for (int lane = 0; lane < 64 * u.groups; ++lane)
+    ASSERT_EQ(got[lane], lane_reference(planes, u.groups, m, signs, lane))
+        << u.name << " m=" << m << " lane=" << lane;
 }
 
 TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
@@ -289,8 +311,8 @@ TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
   // m on the byte path (m <= 7) and just past it.
   for (int m = 1; m <= 8; ++m) {
     for (std::uint64_t b = 0; b < 256; ++b) {
-      std::uint64_t planes[4 * 8], signs[4];
-      for (int w = 0; w < 4 * 8; ++w) {
+      std::uint64_t planes[8 * 8], signs[8];
+      for (int w = 0; w < 8 * 8; ++w) {
         planes[w] = 0;
         for (int byte = 0; byte < 8; ++byte)
           planes[w] |= ((b + 37 * static_cast<std::uint64_t>(w) +
@@ -298,10 +320,9 @@ TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
                         0xff)
                        << (8 * byte);
       }
-      for (int g = 0; g < 4; ++g)
+      for (int g = 0; g < 8; ++g)
         signs[g] = planes[g] ^ (0x5555555555555555ull << g);
-      check_unpack<std::uint64_t>(planes, m, signs);
-      check_unpack<Word256>(planes, m, signs);
+      for (const UnpackCase& u : unpacks()) check_unpack(u, planes, m, signs);
     }
   }
 
@@ -310,13 +331,14 @@ TEST(BatchSampler, SpreadUnpackMatchesPerLaneLoop) {
   prng::SplitMix64Source rng(5);
   for (int m : {3, 5, 7, 9, 12}) {
     for (int it = 0; it < 100; ++it) {
-      std::uint64_t planes[4 * 12], signs[4];
-      const std::uint64_t no_signs[4] = {};
+      std::uint64_t planes[8 * 12], signs[8];
+      const std::uint64_t no_signs[8] = {};
       for (auto& w : planes) w = rng.next_word();
       for (auto& w : signs) w = rng.next_word();
-      check_unpack<std::uint64_t>(planes, m, signs);
-      check_unpack<Word256>(planes, m, signs);
-      check_unpack<Word256>(planes, m, no_signs);
+      for (const UnpackCase& u : unpacks()) {
+        check_unpack(u, planes, m, signs);
+        check_unpack(u, planes, m, no_signs);
+      }
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "engine/registry.h"
 #include "gauss/probmatrix.h"
 #include "prng/chacha20.h"
+#include "prng/splitmix.h"
 #include "serial/serial.h"
 
 namespace cgs::engine {
@@ -219,43 +220,47 @@ std::shared_ptr<const ct::SynthesizedSampler> small_synth() {
   return synth;
 }
 
-// The 64-lane and 256-lane outputs (values and valid masks) of a kernel
-// for a fixed seed.
+// A kernel's output (values and valid masks) for a fixed seed, on the
+// runner of its width.
 struct KernelStreams {
-  std::vector<std::int32_t> narrow, wide;
-  std::vector<std::uint64_t> narrow_valid, wide_valid;
+  std::vector<std::int32_t> values;
+  std::vector<std::uint64_t> valid;
   bool operator==(const KernelStreams&) const = default;
 };
 
-KernelStreams kernel_streams(
+template <typename Word>
+KernelStreams runner_streams(
     const std::shared_ptr<const ct::CompiledKernel>& kernel) {
-  const ct::SynthesizedSampler& synth = *small_synth();
+  using Runner = ct::BatchSampler<Word>;
+  Runner runner(*small_synth(), kernel);
+  prng::ChaCha20Source rng(7);
   KernelStreams s;
-  std::int32_t batch[256];
-  ct::BitslicedSampler narrow(synth, kernel);
-  prng::ChaCha20Source rng_narrow(7);
+  std::int32_t batch[Runner::kBatch];
   for (int it = 0; it < 16; ++it) {
-    s.narrow_valid.push_back(narrow.sample_batch(rng_narrow, batch)[0]);
-    s.narrow.insert(s.narrow.end(), batch, batch + 64);
-  }
-  EXPECT_TRUE(kernel->has_wide());
-  if (!kernel->has_wide()) return s;
-  ct::WideBitslicedSampler wide(synth, kernel);
-  prng::ChaCha20Source rng_wide(7);
-  for (int it = 0; it < 16; ++it) {
-    const auto mask = wide.sample_batch(rng_wide, batch);
-    s.wide.insert(s.wide.end(), batch, batch + 256);
-    s.wide_valid.insert(s.wide_valid.end(), mask.begin(), mask.end());
+    const auto mask = runner.sample_batch(rng, batch);
+    s.values.insert(s.values.end(), batch, batch + Runner::kBatch);
+    s.valid.insert(s.valid.end(), mask.begin(), mask.end());
   }
   return s;
 }
 
-// The streams of a registry kernel over `dir`, plus that registry's
-// kernel-cache totals (the registry and its kernel are gone on return).
+KernelStreams kernel_streams(
+    const std::shared_ptr<const ct::CompiledKernel>& kernel) {
+  switch (kernel->lanes()) {
+    case 64: return runner_streams<std::uint64_t>(kernel);
+    case 256: return runner_streams<ct::Word256>(kernel);
+    default: return runner_streams<ct::Word512>(kernel);
+  }
+}
+
+// The streams of a registry kernel over `dir` at the engine's width, plus
+// that registry's kernel-cache totals (the registry and its kernel are gone
+// on return).
 KernelStreams registry_streams(const std::string& dir, obs::CacheStats& stats,
                                bool use_disk = true) {
   SamplerRegistry reg({.cache_dir = dir, .use_disk = use_disk});
-  KernelStreams s = kernel_streams(reg.kernel(*small_synth()));
+  KernelStreams s =
+      kernel_streams(reg.kernel(*small_synth(), ct::host_kernel_lanes()));
   stats = reg.kernel_cache_stats();
   return s;
 }
@@ -283,8 +288,10 @@ TEST(KernelCache, WarmLoadIsBitIdenticalToColdCompile) {
   KernelStreams cold;
   {
     SamplerRegistry reg({.cache_dir = dir});
-    const auto kernel = reg.kernel(*small_synth());
-    EXPECT_EQ(reg.kernel(*small_synth()).get(), kernel.get());  // memo hit
+    const int lanes = ct::host_kernel_lanes();
+    const auto kernel = reg.kernel(*small_synth(), lanes);
+    EXPECT_EQ(kernel->lanes(), lanes);
+    EXPECT_EQ(reg.kernel(*small_synth(), lanes).get(), kernel.get());  // hit
     cold = kernel_streams(kernel);
     st = reg.kernel_cache_stats();
   }
@@ -391,20 +398,37 @@ TEST(KernelCache, KeyCoversSourceCompilerRungAndCpu) {
                                     "x86:AMD:a"));
   const std::string generic =
       ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kGeneric, "x86:Intel:a");
-  const std::string scalar =
-      ct::kernel_cache_key(1, "gcc 12.2.0", FlagRung::kScalar, "x86:Intel:a");
   EXPECT_NE(k, generic);
-  EXPECT_NE(k, scalar);
-  EXPECT_NE(generic, scalar);
   for (char c : k)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || c == '-')
         << k;
 
-  // The source hash covers both forms: the scalar rung's text is the
-  // 64-lane function alone, the others add the 256-lane form.
-  const ct::KernelSource source(*small_synth());
-  EXPECT_NE(source.hash(FlagRung::kScalar), source.hash(FlagRung::kNative));
-  EXPECT_EQ(source.hash(FlagRung::kGeneric), source.hash(FlagRung::kNative));
+  // The source is one entry point, so its hash covers the width.
+  const std::uint64_t narrow = ct::KernelSource(*small_synth(), 64).hash();
+  const std::uint64_t wide = ct::KernelSource(*small_synth(), 256).hash();
+  const std::uint64_t widest = ct::KernelSource(*small_synth(), 512).hash();
+  EXPECT_EQ(narrow, ct::KernelSource(*small_synth(), 64).hash());
+  EXPECT_NE(narrow, wide);
+  EXPECT_NE(narrow, widest);
+  EXPECT_NE(wide, widest);
+}
+
+TEST(KernelCache, MemoIsKeyedByNetlistStructureAndWidth) {
+  if (!ct::CompiledKernel::is_available()) GTEST_SKIP() << "no host compiler";
+  SamplerRegistry reg({.cache_dir = fresh_dir("kernel-memo"),
+                       .use_disk = false});
+  const auto kernel = reg.kernel(*small_synth(), 64);
+  EXPECT_EQ(kernel->lanes(), 64);
+  // An equal netlist held in a different object is a memo hit.
+  const ct::SynthesizedSampler copy = *small_synth();
+  EXPECT_EQ(reg.kernel(copy, 64).get(), kernel.get());
+  EXPECT_EQ(reg.kernel_cache_stats().hits, 1u);
+  EXPECT_EQ(reg.kernel_cache_stats().misses, 1u);
+  // Another width is another entry point, so another kernel.
+  const auto wide = reg.kernel(copy, 256);
+  EXPECT_EQ(wide->lanes(), 256);
+  EXPECT_NE(wide.get(), kernel.get());
+  EXPECT_EQ(reg.kernel_cache_stats().misses, 2u);
 }
 
 TEST(KernelCache, WithoutDiskNothingIsWrittenUnderCacheDir) {
@@ -512,6 +536,75 @@ TEST(Engine, StreamsMatchGoldenDigests) {
         synth, {.backend = backend, .num_threads = 2, .root_seed = 20260});
     EXPECT_EQ(stream_digest(engine.sample(100000)), 0xacd48e2909d29eebull)
         << backend_name(backend);
+  }
+}
+
+TEST(Engine, StreamsIdenticalAcrossLaneWidthsAndRequestSizes) {
+  // Random words are drawn in 256-lane units, so the compiled engine at the
+  // host's width (512 lanes on AVX-512 hosts) and the interpreted 256-lane
+  // engine give one stream per seed over requests straddling both batch
+  // sizes, inline (one slot) and split (two). At precision 8 the valid bit
+  // drops ~1% of lanes, so compaction runs across paired passes. The
+  // digests pin the 256-lane engine's streams. The engine compiles only
+  // the host's width, so the one-slot stream is also drawn through the
+  // compiled 256- and 512-lane runners directly: every host checks the
+  // kernel an AVX2 host serves and the one an AVX-512 host serves.
+  SamplerRegistry reg({.cache_dir = fresh_dir("widths"), .use_disk = false});
+  const std::size_t sizes[] = {1,   255, 256,  257,   511,
+                               512, 513, 1000, 16384, 32771};
+  const struct {
+    int precision;
+    int slots;
+    std::uint64_t digest;
+  } pins[] = {{64, 1, 0x0665423c45c0f063ull},
+              {64, 2, 0x201304d69efe18deull},
+              {8, 1, 0x8d2d331051685121ull},
+              {8, 2, 0x0b9039eed1fbfdc4ull}};
+  for (const auto& pin : pins) {
+    const auto synth = reg.get(gauss::GaussianParams::sigma_2(pin.precision));
+    ASSERT_TRUE(synth->has_valid_bit);
+    for (const Backend backend : {Backend::kWide, Backend::kCompiled}) {
+      if (backend == Backend::kCompiled && !ct::CompiledKernel::is_available())
+        continue;
+      SamplerEngine engine(synth, {.backend = backend,
+                                   .num_threads = pin.slots,
+                                   .root_seed = 20262,
+                                   .registry = &reg});
+      EXPECT_EQ(engine.lanes(), backend == Backend::kWide
+                                    ? 256
+                                    : ct::host_kernel_lanes());
+      std::vector<std::int32_t> stream;
+      for (const std::size_t n : sizes) {
+        const auto v = engine.sample(n);
+        stream.insert(stream.end(), v.begin(), v.end());
+      }
+      const std::uint64_t got = stream_digest(stream);
+      EXPECT_EQ(got, pin.digest)
+          << backend_name(backend) << " p=" << pin.precision
+          << " slots=" << pin.slots << std::hex << " got 0x" << got;
+    }
+    if (pin.slots != 1 || !ct::CompiledKernel::is_available()) continue;
+    // A one-slot engine's stream is its runner's fill() over the first
+    // seed SplitMix64 derives from the root seed.
+    const auto runner_digest = [&]<typename Word>(ct::BatchSampler<Word>
+                                                      runner) {
+      prng::ChaCha20Source rng(prng::SplitMix64Source(20262).next_word());
+      std::vector<std::int32_t> stream;
+      for (const std::size_t n : sizes) {
+        std::vector<std::int32_t> v(n);
+        runner.fill(rng, v);
+        stream.insert(stream.end(), v.begin(), v.end());
+      }
+      return stream_digest(stream);
+    };
+    EXPECT_EQ(runner_digest(ct::BatchSampler<ct::Word256>(
+                  *synth, reg.kernel(*synth, 256))),
+              pin.digest)
+        << "compiled 256-lane runner p=" << pin.precision;
+    EXPECT_EQ(runner_digest(ct::BatchSampler<ct::Word512>(
+                  *synth, reg.kernel(*synth, 512))),
+              pin.digest)
+        << "compiled 512-lane runner p=" << pin.precision;
   }
 }
 

@@ -1,5 +1,6 @@
 // The 256-lane runner: agreement with the 64-lane runner when fed the
-// same word stream, distribution quality, validity masks.
+// same word stream, distribution quality, validity masks; and the 512-lane
+// runner's paired passes against it.
 
 #include <gtest/gtest.h>
 
@@ -78,6 +79,36 @@ TEST(WideSampler, ValidMaskNearlyFullAtHighPrecision) {
   for (int it = 0; it < 50; ++it) {
     for (const std::uint64_t v : s.sample_magnitudes(rng, out))
       EXPECT_EQ(v, ~std::uint64_t(0));
+  }
+}
+
+TEST(WideSampler, PairedPassesMatch256LaneRunner) {
+  // A 512-lane pass evaluates two 256-lane draw units in stream order, and
+  // fill() draws only the units a request keeps, so the interpreted 512-
+  // and 256-lane runners give one stream per seed on any host. Precision 8
+  // drops ~1% of lanes, so compaction spans paired passes.
+  const SynthesizedSampler synth =
+      synthesize(gauss::ProbMatrix(gauss::GaussianParams::sigma_2(8)), {});
+  BatchSampler<Word512> paired(synth);
+  WideBitslicedSampler single(synth);
+  prng::ChaCha20Source rng_a(21), rng_b(21);
+  for (const std::size_t n : {1, 255, 256, 257, 511, 512, 513, 1000, 16384,
+                              32771}) {
+    std::vector<std::int32_t> a(n), b(n);
+    paired.fill(rng_a, a);
+    single.fill(rng_b, b);
+    ASSERT_EQ(a, b) << n;
+  }
+  // A whole pass: its two halves are the 256-lane runner's next two
+  // batches, valid masks included.
+  std::int32_t pair[512], one[256];
+  const auto mask = paired.sample_batch(rng_a, pair);
+  for (std::size_t u = 0; u < 2; ++u) {
+    const auto one_mask = single.sample_batch(rng_b, one);
+    for (std::size_t g = 0; g < 4; ++g)
+      EXPECT_EQ(mask[4 * u + g], one_mask[g]) << u << ":" << g;
+    for (std::size_t lane = 0; lane < 256; ++lane)
+      EXPECT_EQ(pair[256 * u + lane], one[lane]) << u << ":" << lane;
   }
 }
 
