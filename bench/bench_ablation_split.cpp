@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "ablation_split")
         .field("batches_per_rep", batches)

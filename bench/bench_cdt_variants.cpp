@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "cdt_variants")
         .field("n_per_rep", n)

@@ -5,7 +5,8 @@
 //      minimization -> netlist), i.e. what every process start paid before
 //      the registry existed;
 //   2. warm start  — deserializing the cached netlist frame from disk
-//      (expected >= 10x faster than cold; asserted at the end);
+//      (reported as a speedup over cold; the warm reps must come from
+//      disk);
 //   3. round-trip fidelity — the deserialized sampler's stream is
 //      bit-identical to the fresh one under the same ChaCha20 seed;
 //   4. online throughput — samples/sec per backend, single- vs
@@ -18,7 +19,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
   if (n_samples == 0) n_samples = 1u << 21;  // default; also unparseable argv
   const auto params = gauss::GaussianParams::sigma_2(64);
   // Per-process dir: a concurrent bench run must not remove_all() the cache
-  // this run is warm-loading from (that would fake a cold start and flip the
-  // >= 10x gate).
+  // this run is warm-loading from (that would fake a cold start).
   const std::string dir = std::filesystem::temp_directory_path() /
                           ("cgs-bench-engine-cache-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -146,7 +145,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "engine_throughput")
         .field("n", n_samples)
@@ -166,23 +165,16 @@ int main(int argc, char** argv) {
   }
 
   std::filesystem::remove_all(dir);
-  // The timing gate is meaningful on quiet machines; shared CI runners can
-  // deschedule the ~ms warm-load reps and fake a miss, so CI sets
-  // CGS_BENCH_SKIP_TIMING_GATE=1 and gates on bit-identity alone.
-  const char* skip_env = std::getenv("CGS_BENCH_SKIP_TIMING_GATE");
-  const bool gate_timing = !(skip_env && *skip_env && *skip_env != '0');
-  // The warm reps coming from disk is jitter-free and always gated: a dead
-  // persist path must not hide behind the skipped timing gate.
+  // Only the jitter-free facts gate; the speedup is reported. A dead
+  // persist path fails here rather than as a slow warm start.
   const bool from_disk = source == engine::SamplerRegistry::Source::kDisk;
-  if (!identical || !from_disk || (gate_timing && speedup < 10.0)) {
+  if (!identical || !from_disk) {
     std::printf("\nFAIL: %s\n",
-                !identical  ? "round trip not bit-identical"
-                : !from_disk ? "warm reps did not load from the disk cache"
-                             : "warm start < 10x cold");
+                !identical ? "round trip not bit-identical"
+                           : "warm reps did not load from the disk cache");
     return 1;
   }
-  std::printf("\nOK: warm start %.1fx faster than cold synthesis%s, "
-              "round trip bit-identical\n", speedup,
-              gate_timing ? " (>= 10x)" : " (timing gate skipped)");
+  std::printf("\nOK: warm start %.1fx faster than cold synthesis, "
+              "round trip bit-identical\n", speedup);
   return 0;
 }

@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "prng_overhead")
         .field("paper_chacha_share", 0.60)

@@ -2,21 +2,20 @@
 // the four interchangeable base samplers, ChaCha20 as the PRNG — the
 // paper's headline application experiment — plus the PR-3 batched column:
 // the same bit-sliced sampler served through the engine/BlockSource
-// pipeline (SigningService), which must clear >= 3x the scalar bit-sliced
-// baseline with every produced signature verifying.
+// pipeline (SigningService), reported as a speedup over the scalar
+// bit-sliced baseline, with every produced signature verified.
 //
 // Expected shape (paper, i7-6600U): byte-scan CDT fastest among scalar
 // rows, binary-search CDT next, this work's bit-sliced CT sampler
 // ~10-30% behind the CDTs, linear-search CT CDT slowest. This work runs
-// twice: on the interpreted netlist (the >= 3x gate's baseline) and on
+// twice: on the interpreted netlist (the batched column's baseline) and on
 // the compiled kernel, the paper's form, which the paper-gap line reads.
 // The batched row is this repo's contribution on top: block-pulled
 // proposals from the compiled (or wide) engine backend amortize the
 // netlist pass the scalar rows pay per 64 samples.
 //
 // Usage: bench_table1_falcon [budget_sec] [--json FILE] [--degrees a,b,c]
-// Timing gates are skipped when CGS_BENCH_SKIP_TIMING_GATE is set (shared
-// CI runners); the every-signature-verifies gate always applies.
+// Exits 1 iff a produced signature fails to verify; timings only report.
 
 #include <chrono>
 #include <cstdio>
@@ -40,8 +39,6 @@
 namespace {
 
 using namespace cgs;
-
-constexpr double kGateSpeedup = 3.0;
 
 struct SamplerEntry {
   const char* label;
@@ -208,7 +205,7 @@ int main(int argc, char** argv) {
   // The batched column: SigningService over the engine stack (auto
   // backend: compiled-wide > wide > bitsliced), deterministic worker
   // streams, every signature verified. One worker thread — the scalar
-  // rows are single-threaded, so the >= 3x gate measures the batching
+  // rows are single-threaded, so the speedup measures the batching
   // itself, not thread count (sign_many thread scaling is exercised by
   // the test suite).
   falcon::SigningOptions svc_opts;
@@ -230,15 +227,14 @@ int main(int argc, char** argv) {
               engine::backend_name(service.backend()),
               service.num_threads());
 
-  // Gate baseline located by key, not position, so reordering the sampler
+  // Baseline located by key, not position, so reordering the sampler
   // table can never silently re-point the speedup at a CDT row.
   const std::size_t baseline_row = row_of(samplers, "bitsliced_scalar");
   if (baseline_row == samplers.size()) {
     std::fprintf(stderr, "FAIL: bitsliced_scalar baseline row missing\n");
     return 1;
   }
-  std::printf("\nBatched pipeline vs scalar bit-sliced baseline "
-              "(gate: >= %.1fx):\n", kGateSpeedup);
+  std::printf("\nBatched pipeline vs scalar bit-sliced baseline:\n");
   double min_speedup = 1e9;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const double speedup = results[baseline_row][i] > 0
@@ -267,7 +263,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "table1_falcon")
         .field("budget_sec", budget)
@@ -299,13 +295,8 @@ int main(int argc, char** argv) {
                     ? batched[i] / results[baseline_row][i]
                     : 0.0);
     json.end_array()
-        .field("all_verified", batched_verified)
-        .end_object()
-        .begin_object("gate")
-        .field("min_speedup_required", kGateSpeedup)
-        .field("min_speedup_measured", min_speedup)
-        .field("pass", min_speedup >= kGateSpeedup && batched_verified &&
-                           scalar_verified)
+        .field("min_speedup", min_speedup)
+        .field("all_verified", batched_verified && scalar_verified)
         .end_object()
         .end_object();
     json.write_file(json_path);
@@ -314,16 +305,6 @@ int main(int argc, char** argv) {
   if (!scalar_verified || !batched_verified) {
     std::fprintf(stderr, "FAIL: a produced signature did not verify\n");
     return 1;
-  }
-  if (min_speedup < kGateSpeedup) {
-    if (std::getenv("CGS_BENCH_SKIP_TIMING_GATE")) {
-      std::printf("timing gate skipped (CGS_BENCH_SKIP_TIMING_GATE)\n");
-    } else {
-      std::fprintf(stderr,
-                   "FAIL: batched speedup %.2fx below the %.1fx gate\n",
-                   min_speedup, kGateSpeedup);
-      return 1;
-    }
   }
   return 0;
 }

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   run_sigma("6.15543", gauss::GaussianParams::sigma_6_15543(128), rows);
 
   if (!args.json_path.empty()) {
-    benchutil::JsonWriter json;
+    JsonWriter json;
     json.begin_object()
         .field("bench", "table2_sampler")
         .begin_array("rows");

@@ -15,8 +15,6 @@
 
 namespace cgs::benchutil {
 
-using JsonWriter = cgs::JsonWriter;
-
 using Clock = std::chrono::steady_clock;
 
 inline double ms_since(Clock::time_point t0) {

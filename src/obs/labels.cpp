@@ -74,41 +74,43 @@ std::string tenant_label(std::uint64_t fingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterFamily
+// LabeledFamily
 
-CounterFamily::CounterFamily(std::string name, Counter& global,
-                             FamilyOptions options)
+template <typename Cell>
+LabeledFamily<Cell>::LabeledFamily(std::string name,
+                                   typename Cell::Global& global,
+                                   FamilyOptions options)
     : name_(std::move(name)), global_(global), options_(std::move(options)) {
   CGS_CHECK_MSG(options_.max_series > 0, "obs: family needs max_series >= 1");
 }
 
-CounterFamily::~CounterFamily() = default;
-
-void CounterFamily::add(const LabelSet& labels, std::uint64_t n) {
-  global_.add(n);
-  const std::string& key = labels.canonical();
+template <typename Cell>
+void LabeledFamily<Cell>::observe(const std::string& key, std::uint64_t v) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (auto it = cells_.find(key); it != cells_.end()) {
       it->second->touches.fetch_add(1, std::memory_order_relaxed);
-      it->second->value.fetch_add(n, std::memory_order_relaxed);
+      it->second->cell.observe(v);
       return;
     }
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   Node& node = cell_locked(key);
   node.touches.fetch_add(1, std::memory_order_relaxed);
-  node.value.fetch_add(n, std::memory_order_relaxed);
+  node.cell.observe(v);
 }
 
-CounterFamily::Node& CounterFamily::cell_locked(const std::string& key) {
+template <typename Cell>
+typename LabeledFamily<Cell>::Node& LabeledFamily<Cell>::cell_locked(
+    const std::string& key) {
   if (auto it = cells_.find(key); it != cells_.end()) return *it->second;
   if (cells_.size() >= options_.max_series) make_room_locked();
   probation_.push_back(key);
   return *cells_.emplace(key, std::make_unique<Node>()).first->second;
 }
 
-void CounterFamily::make_room_locked() {
+template <typename Cell>
+void LabeledFamily<Cell>::make_room_locked() {
   // Lazy promotion: probation cells that earned a second touch since the
   // last admission move to protected before a victim is chosen, so a hot
   // tenant is never folded just because promotions are deferred.
@@ -128,97 +130,9 @@ void CounterFamily::make_room_locked() {
   auto it = cells_.find(victim);
   // Fold, never drop: the unique lock excludes adders, so this transfer
   // is exact and the sum-to-global invariant survives eviction.
-  const std::uint64_t v = it->second->value.load(std::memory_order_relaxed);
-  other_.fetch_add(v, std::memory_order_relaxed);
-  queue.pop_front();
-  cells_.erase(it);
-  folds_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.events != nullptr)
-    options_.events->emit(EventKind::kSeriesFold, v, options_.max_series,
-                          name_);
-}
-
-std::vector<CounterFamily::LabeledValue> CounterFamily::collect() const {
-  std::vector<LabeledValue> out;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    out.reserve(cells_.size() + 1);
-    for (const auto& [labels, node] : cells_)
-      out.push_back(
-          {labels, node->value.load(std::memory_order_relaxed)});
-  }
-  if (const std::uint64_t o = other_.load(std::memory_order_relaxed); o != 0)
-    out.push_back({options_.overflow.canonical(), o});
-  std::sort(out.begin(), out.end(),
-            [](const LabeledValue& a, const LabeledValue& b) {
-              return a.labels < b.labels;
-            });
-  return out;
-}
-
-std::size_t CounterFamily::series() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return cells_.size();
-}
-
-std::uint64_t CounterFamily::folds() const {
-  return folds_.load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// HistogramFamily
-
-HistogramFamily::HistogramFamily(std::string name, Histogram& global,
-                                 FamilyOptions options)
-    : name_(std::move(name)), global_(global), options_(std::move(options)) {
-  CGS_CHECK_MSG(options_.max_series > 0, "obs: family needs max_series >= 1");
-}
-
-HistogramFamily::~HistogramFamily() = default;
-
-void HistogramFamily::record(const LabelSet& labels, std::uint64_t us,
-                             std::uint64_t exemplar_id) {
-  global_.record(us, exemplar_id);
-  const std::string& key = labels.canonical();
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (auto it = cells_.find(key); it != cells_.end()) {
-      it->second->touches.fetch_add(1, std::memory_order_relaxed);
-      it->second->hist.record(us);
-      return;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Node& node = cell_locked(key);
-  node.touches.fetch_add(1, std::memory_order_relaxed);
-  node.hist.record(us);
-}
-
-HistogramFamily::Node& HistogramFamily::cell_locked(const std::string& key) {
-  if (auto it = cells_.find(key); it != cells_.end()) return *it->second;
-  if (cells_.size() >= options_.max_series) make_room_locked();
-  probation_.push_back(key);
-  return *cells_.emplace(key, std::make_unique<Node>()).first->second;
-}
-
-void HistogramFamily::make_room_locked() {
-  for (auto it = probation_.begin(); it != probation_.end();) {
-    Node& node = *cells_.find(*it)->second;
-    if (node.touches.load(std::memory_order_relaxed) >=
-        options_.promote_touches) {
-      auto next = std::next(it);
-      protected_.splice(protected_.end(), probation_, it);
-      it = next;
-    } else {
-      ++it;
-    }
-  }
-  std::list<std::string>& queue = probation_.empty() ? protected_ : probation_;
-  const std::string victim = queue.front();
-  auto it = cells_.find(victim);
-  const Histogram& h = it->second->hist;
-  const std::uint64_t folded = h.count();
-  other_.merge_from(h.snapshot(), h.sum());
+  const Cell& cell = it->second->cell;
+  const std::uint64_t folded = cell.observations();
+  cell.fold_into(other_);
   queue.pop_front();
   cells_.erase(it);
   folds_.fetch_add(1, std::memory_order_relaxed);
@@ -227,43 +141,35 @@ void HistogramFamily::make_room_locked() {
                           name_);
 }
 
-std::vector<HistogramFamily::LabeledHistogram> HistogramFamily::collect()
-    const {
-  std::vector<LabeledHistogram> out;
+template <typename Cell>
+std::vector<typename Cell::Labeled> LabeledFamily<Cell>::collect() const {
+  std::vector<typename Cell::Labeled> out;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     out.reserve(cells_.size() + 1);
-    for (const auto& [labels, node] : cells_) {
-      LabeledHistogram h;
-      h.labels = labels;
-      h.buckets = node->hist.snapshot();
-      for (std::uint64_t b : h.buckets) h.count += b;
-      h.sum_us = node->hist.sum();
-      out.push_back(std::move(h));
-    }
+    for (const auto& [labels, node] : cells_)
+      out.push_back(node->cell.read(labels));
   }
-  if (other_.count() != 0) {
-    LabeledHistogram h;
-    h.labels = options_.overflow.canonical();
-    h.buckets = other_.snapshot();
-    for (std::uint64_t b : h.buckets) h.count += b;
-    h.sum_us = other_.sum();
-    out.push_back(std::move(h));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LabeledHistogram& a, const LabeledHistogram& b) {
-              return a.labels < b.labels;
-            });
+  if (other_.observations() != 0)
+    out.push_back(other_.read(options_.overflow.canonical()));
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.labels < b.labels;
+  });
   return out;
 }
 
-std::size_t HistogramFamily::series() const {
+template <typename Cell>
+std::size_t LabeledFamily<Cell>::series() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return cells_.size();
 }
 
-std::uint64_t HistogramFamily::folds() const {
+template <typename Cell>
+std::uint64_t LabeledFamily<Cell>::folds() const {
   return folds_.load(std::memory_order_relaxed);
 }
+
+template class LabeledFamily<CounterCell>;
+template class LabeledFamily<HistogramCell>;
 
 }  // namespace cgs::obs

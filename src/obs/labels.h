@@ -25,6 +25,7 @@
 // concurrent adders — that exclusion is what makes folds exact.
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <list>
@@ -81,25 +82,82 @@ struct FamilyOptions {
   EventLog* events = nullptr;
 };
 
-/// Labeled counter family. add() bumps the per-label cell AND the global
-/// counter the family wraps. Cell references are never handed out —
-/// eviction folds cells away, so the only stable handle is the family.
-class CounterFamily {
- public:
-  CounterFamily(std::string name, Counter& global, FamilyOptions options);
-  CounterFamily(const CounterFamily&) = delete;
-  CounterFamily& operator=(const CounterFamily&) = delete;
-  ~CounterFamily();
-
-  void add(const LabelSet& labels, std::uint64_t n = 1);
-
-  struct LabeledValue {
+/// One labeled counter series: a relaxed event count.
+struct CounterCell {
+  using Global = Counter;
+  struct Labeled {
     std::string labels;  // canonical rendering
     std::uint64_t value = 0;
   };
-  /// Every live cell plus (when non-zero) the overflow cell, sorted by
+
+  void observe(std::uint64_t n) {
+    value.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t observations() const {
+    return value.load(std::memory_order_relaxed);
+  }
+  void fold_into(CounterCell& other) const { other.observe(observations()); }
+  Labeled read(std::string labels) const {
+    return {std::move(labels), observations()};
+  }
+
+  std::atomic<std::uint64_t> value{0};
+};
+
+/// One labeled histogram series: a full log2 latency histogram.
+struct HistogramCell {
+  using Global = Histogram;
+  struct Labeled {
+    std::string labels;
+    HistogramBuckets buckets{};
+    std::uint64_t count = 0;
+    std::uint64_t sum_us = 0;
+  };
+
+  void observe(std::uint64_t us) { hist.record(us); }
+  std::uint64_t observations() const { return hist.count(); }
+  void fold_into(HistogramCell& other) const {
+    other.hist.merge_from(hist.snapshot(), hist.sum());
+  }
+  Labeled read(std::string labels) const {
+    Labeled out{std::move(labels), hist.snapshot()};
+    for (std::uint64_t b : out.buckets) out.count += b;
+    out.sum_us = hist.sum();
+    return out;
+  }
+
+  Histogram hist;
+};
+
+/// Labeled family over one cell type. Every observation lands in the
+/// per-label cell AND the global instrument the family wraps. Cell
+/// references are never handed out — eviction folds cells away, so the
+/// only stable handle is the family.
+template <typename Cell>
+class LabeledFamily {
+ public:
+  LabeledFamily(std::string name, typename Cell::Global& global,
+                FamilyOptions options);
+
+  void add(const LabelSet& labels, std::uint64_t n = 1)
+    requires std::same_as<Cell, CounterCell>
+  {
+    global_.add(n);
+    observe(labels.canonical(), n);
+  }
+
+  /// The exemplar id lands in the global histogram only.
+  void record(const LabelSet& labels, std::uint64_t us,
+              std::uint64_t exemplar_id = 0)
+    requires std::same_as<Cell, HistogramCell>
+  {
+    global_.record(us, exemplar_id);
+    observe(labels.canonical(), us);
+  }
+
+  /// Every live cell plus (when non-empty) the overflow cell, sorted by
   /// canonical labels.
-  std::vector<LabeledValue> collect() const;
+  std::vector<typename Cell::Labeled> collect() const;
 
   /// Live labeled series (overflow excluded). Always <= max_series.
   std::size_t series() const;
@@ -109,68 +167,29 @@ class CounterFamily {
 
  private:
   struct Node {
-    std::atomic<std::uint64_t> value{0};
+    Cell cell;
     std::atomic<std::uint64_t> touches{0};
   };
 
+  void observe(const std::string& key, std::uint64_t v);
   Node& cell_locked(const std::string& key);
   void make_room_locked();
 
   const std::string name_;
-  Counter& global_;
+  typename Cell::Global& global_;
   const FamilyOptions options_;
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Node>> cells_;
   std::list<std::string> probation_;   // FIFO: front = next fold victim
   std::list<std::string> protected_;   // promotion order: front = oldest
-  std::atomic<std::uint64_t> other_{0};
+  Cell other_;
   std::atomic<std::uint64_t> folds_{0};
 };
 
-/// Labeled histogram family: per-label full log2 histograms with the same
-/// admission/fold policy as CounterFamily. record() also lands in the
-/// wrapped global histogram (exemplar id included).
-class HistogramFamily {
- public:
-  HistogramFamily(std::string name, Histogram& global, FamilyOptions options);
-  HistogramFamily(const HistogramFamily&) = delete;
-  HistogramFamily& operator=(const HistogramFamily&) = delete;
-  ~HistogramFamily();
-
-  void record(const LabelSet& labels, std::uint64_t us,
-              std::uint64_t exemplar_id = 0);
-
-  struct LabeledHistogram {
-    std::string labels;
-    HistogramBuckets buckets{};
-    std::uint64_t count = 0;
-    std::uint64_t sum_us = 0;
-  };
-  std::vector<LabeledHistogram> collect() const;
-
-  std::size_t series() const;
-  std::uint64_t folds() const;
-  const std::string& name() const { return name_; }
-
- private:
-  struct Node {
-    Histogram hist;
-    std::atomic<std::uint64_t> touches{0};
-  };
-
-  Node& cell_locked(const std::string& key);
-  void make_room_locked();
-
-  const std::string name_;
-  Histogram& global_;
-  const FamilyOptions options_;
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Node>> cells_;
-  std::list<std::string> probation_;
-  std::list<std::string> protected_;
-  Histogram other_;
-  std::atomic<std::uint64_t> folds_{0};
-};
+using CounterFamily = LabeledFamily<CounterCell>;
+using HistogramFamily = LabeledFamily<HistogramCell>;
+extern template class LabeledFamily<CounterCell>;
+extern template class LabeledFamily<HistogramCell>;
 
 /// Hex rendering of a tenant fingerprint / key id for use as a label
 /// value (16 lowercase hex digits — fixed width keeps scrapes greppable).

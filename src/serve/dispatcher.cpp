@@ -224,14 +224,6 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
     if (!options_.verification.key_state)
       options_.verification.key_state = key_state_.get();
   }
-  if (options_.key_state_budget_bytes != 0) {
-    if (!options_.signing.tree_cache.bounded())
-      options_.signing.tree_cache.max_bytes =
-          options_.key_state_budget_bytes * 3 / 5;
-    if (!options_.verification.key_cache.bounded())
-      options_.verification.key_cache.max_bytes =
-          options_.key_state_budget_bytes * 2 / 5;
-  }
   signing_ = std::make_unique<falcon::SigningService>(*registry_,
                                                       options_.signing);
   verifier_ =
@@ -248,16 +240,12 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
     using Req = typename std::decay_t<decltype(c)>::Request;
     using Traits = ClassTraits<Req>;
     const std::string name = obs::request_class_name(Traits::kClass);
-    if (options_.tenant_metrics) {
-      obs::FamilyOptions fam;
-      fam.max_series = options_.tenant_series;
-      c.telemetry.requests = &obs_->counter_family(
-          "cgs_tenant_" + name + "_requests_total", fam);
-      c.telemetry.latency =
-          &obs_->windowed_histogram("cgs_serve_" + name + "_latency_us");
-      c.telemetry.slo_good = &obs_->counter("cgs_slo_" + name + "_good_total");
-      c.telemetry.slo_bad = &obs_->counter("cgs_slo_" + name + "_bad_total");
-    }
+    c.telemetry.requests =
+        &obs_->counter_family("cgs_tenant_" + name + "_requests_total");
+    c.telemetry.latency =
+        &obs_->windowed_histogram("cgs_serve_" + name + "_latency_us");
+    c.telemetry.slo_good = &obs_->counter("cgs_slo_" + name + "_good_total");
+    c.telemetry.slo_bad = &obs_->counter("cgs_slo_" + name + "_bad_total");
     for (int i = 0; i < Traits::lane_count(options_); ++i)
       c.lanes.push_back(std::make_unique<Lane<Job<Req>>>(
           qos, *obs_, "cgs_serve_" + name + "_lane" + std::to_string(i)));
@@ -420,7 +408,6 @@ const falcon::KeyPair* Dispatcher::key(std::uint64_t key_id) const {
 // actually landed in it.
 void Dispatcher::record_class(const ClassTelemetry& t, const obs::Trace& trace,
                               std::optional<std::uint64_t> latency_us) {
-  if (t.requests == nullptr) return;
   t.requests->add(obs::LabelSet{{"tenant", obs::tenant_label(trace.tenant)}});
   if (!latency_us) {
     t.slo_bad->add(1);

@@ -134,12 +134,6 @@ struct DispatcherOptions {
   falcon::SigningOptions signing;        // inner SigningService configuration
   falcon::VerificationOptions verification;  // inner VerificationService
   engine::ServiceOptions gaussian;       // inner GaussianService configuration
-  /// Combined RAM budget (approximate bytes) for the two per-tenant key
-  /// caches, split 60/40 between ffLDL trees (the heavier artifact) and
-  /// NTT keys. 0 = unbounded (legacy every-key-resident behavior). A
-  /// budget set directly on signing.tree_cache / verification.key_cache
-  /// wins over the split.
-  std::size_t key_state_budget_bytes = 0;
   /// Persistent key-state store configuration; an empty dir disables
   /// persistence. When set, the dispatcher owns one store::KvStore shared
   /// by both key caches (wired into signing.key_state /
@@ -156,19 +150,15 @@ struct DispatcherOptions {
   /// Per-request stage tracing (see obs/trace.h). sample_every = 0 turns
   /// the tracer off entirely (one predictable branch per request).
   obs::TraceOptions trace;
-  /// Tenant-sliced, time-windowed telemetry. When on, every request class
-  /// registers: a tenant-labeled request counter
-  /// (`cgs_tenant_<class>_requests_total{tenant="<hex16>"}`, top
-  /// `tenant_series` tenants + an `other` overflow cell — labeled cells
-  /// always sum to the unlabeled global), a windowed end-to-end latency
-  /// histogram (`cgs_serve_<class>_latency_us` + derived `_win_*` gauges),
-  /// and SLO verdict counters (`cgs_slo_<class>_{good,bad}_total`: good =
+  /// Tenant-sliced, time-windowed telemetry: every request class
+  /// registers a tenant-labeled request counter
+  /// (`cgs_tenant_<class>_requests_total{tenant="<hex16>"}`, the top 32
+  /// tenants + an `other` overflow cell — labeled cells always sum to the
+  /// unlabeled global), a windowed end-to-end latency histogram
+  /// (`cgs_serve_<class>_latency_us` + derived `_win_*` gauges), and SLO
+  /// verdict counters (`cgs_slo_<class>_{good,bad}_total`: good =
   /// fulfilled within `slo_latency_us`; bad = fulfilled late, failed, or
-  /// deadline-expired, so good + bad counts every answered request). Off
-  /// registers none of them — the telemetry-pricing baseline the bench
-  /// compares against.
-  bool tenant_metrics = true;
-  std::size_t tenant_series = 32;
+  /// deadline-expired, so good + bad counts every answered request).
   std::uint64_t slo_latency_us = 50'000;
 };
 
@@ -342,9 +332,8 @@ class Dispatcher {
     std::thread thread;
   };
 
-  /// Per-class telemetry bundle (see DispatcherOptions::tenant_metrics).
-  /// All-null when tenant metrics are off — record_class is then one
-  /// branch per answered request.
+  /// Per-class telemetry bundle (see DispatcherOptions::slo_latency_us),
+  /// bound at construction.
   struct ClassTelemetry {
     obs::CounterFamily* requests = nullptr;
     obs::WindowedHistogram* latency = nullptr;

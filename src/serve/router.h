@@ -1,6 +1,6 @@
 #pragma once
 // The wire front end's frame -> lane plumbing, shared by every server
-// binary (examples/protocol_server, bench/bench_c10k): one switch that
+// binary (examples/protocol_server, servebench): one switch that
 // decodes a request frame by tag, builds the matching typed Dispatcher
 // envelope, submits it, and settles the net::ResponseToken when the
 // future lands. Admission failures (kQueueFull / kShutdown) and

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <future>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,13 +299,13 @@ TEST(LatencyHistogram, QuantilesAreOrderedAndBucketed) {
 
 TEST(Dispatcher, ServesConcurrentClientsAndFillsBatches) {
   DispatcherOptions opts = fast_options();
-  opts.max_batch = 8;
-  opts.max_linger_us = 3000;
+  opts.max_batch = 64;
+  opts.max_linger_us = 50000;  // long enough for a storm to fill batches
   opts.sign_lanes = 2;
   Dispatcher d(registry(), opts);
   const std::uint64_t id = d.add_key(key_a());
 
-  constexpr int kClients = 4, kPerClient = 6;
+  constexpr int kClients = 4, kPerClient = 64;
   std::vector<std::future<falcon::Signature>> futures(
       static_cast<std::size_t>(kClients * kPerClient));
   std::vector<std::thread> clients;
@@ -337,10 +338,10 @@ TEST(Dispatcher, ServesConcurrentClientsAndFillsBatches) {
   EXPECT_EQ(m.sign_completed(), futures.size());
   EXPECT_EQ(m.sign_batched(), futures.size());
   EXPECT_GE(m.sign_batches(), 1u);
-  // Micro-batching must actually aggregate: strictly fewer engine calls
-  // than requests (24 requests, batch cap 8, so at least some grouping).
+  // Micro-batching must actually aggregate: 256 requests stormed at a
+  // batch cap of 64 average at least half-full batches.
   EXPECT_LT(m.sign_batches(), futures.size());
-  EXPECT_GT(m.sign_occupancy(), 1.0);
+  EXPECT_GE(m.sign_occupancy(), 32.0);
   EXPECT_GT(m.p99_us, 0.0);
 }
 
@@ -668,33 +669,42 @@ TEST(Dispatcher, TenantCapShedsStormerWhileVictimAdmits) {
   const std::uint64_t id_a = d.add_key(key_a());
   const std::uint64_t id_b = d.add_key(key_b());
 
-  // Storm tenant A until its own cap sheds it. The shed is typed
-  // kTenantFull (not kQueueFull — the queue is nowhere near capacity)
-  // and carries a nonzero drain-time retry hint.
+  // Storm tenant A with a fixed offer; its own cap sheds it. Each shed is
+  // typed kTenantFull (not kQueueFull — the queue is nowhere near
+  // capacity) and carries a nonzero drain-time retry hint.
+  constexpr std::size_t kOffered = 200;
   std::vector<std::future<falcon::Signature>> accepted;
-  Submission<falcon::Signature> shed;
-  for (int i = 0; i < 1000; ++i) {
+  std::size_t sheds = 0;
+  std::optional<Submission<falcon::Signature>> victim;
+  for (std::size_t i = 0; i < kOffered; ++i) {
     auto sub = d.submit(serve::SignRequest{.key_id = id_a, .message = "storm"});
-    if (!sub.ok()) {
-      shed = std::move(sub);
-      break;
+    if (sub.ok()) {
+      accepted.push_back(std::move(sub.future));
+      continue;
     }
-    accepted.push_back(std::move(sub.future));
+    ++sheds;
+    EXPECT_EQ(sub.status, SubmitStatus::kTenantFull);
+    EXPECT_GE(sub.retry_after_ms, 1u);
+    EXPECT_FALSE(sub.future.valid());
+    // The victim tenant admits at the very same instant the stormer sheds.
+    if (!victim)
+      victim = d.submit(serve::SignRequest{.key_id = id_b, .message = "victim"});
   }
-  ASSERT_EQ(shed.status, SubmitStatus::kTenantFull);
-  EXPECT_GE(shed.retry_after_ms, 1u);
-  EXPECT_FALSE(shed.future.valid());
+  ASSERT_GE(sheds, 1u);
+  // Conservation per tenant: admitted + typed sheds == offered.
+  EXPECT_EQ(accepted.size() + sheds, kOffered);
+  ASSERT_TRUE(victim && victim->ok());
 
-  // The victim tenant admits at the very same instant the stormer sheds.
-  auto victim = d.submit(serve::SignRequest{.key_id = id_b, .message = "victim"});
-  ASSERT_TRUE(victim.ok());
+  // Every admitted future resolves, to a valid signature.
   const falcon::Verifier vb(key_b().h, key_b().params);
-  EXPECT_TRUE(vb.verify("victim", victim.future.get()));
+  EXPECT_TRUE(vb.verify("victim", victim->future.get()));
   const falcon::Verifier va(key_a().h, key_a().params);
   for (auto& f : accepted) EXPECT_TRUE(va.verify("storm", f.get()));
 
   const MetricsSnapshot m = d.metrics();
-  EXPECT_GE(m.tenant_rejections(), 1u);
+  EXPECT_EQ(m.tenant_rejections(), sheds);
+  EXPECT_EQ(m.sign_submitted(), accepted.size() + 1);
+  EXPECT_EQ(m.sign_completed(), accepted.size() + 1);
   EXPECT_EQ(m.priority_inversions(), 0u);
 }
 

@@ -161,47 +161,56 @@ TEST_F(RejectionMatrix, NormExactlyAtBoundAcceptedJustOverRejected) {
 // ------------------------------------------- batched vs scalar differential ---
 
 TEST(VerifyDifferential, BatchedBitForBitEqualsScalarOn1kSignatures) {
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::string> storage;
-  storage.reserve(kCount);
-  for (std::size_t i = 0; i < kCount; ++i)
-    storage.push_back("differential message " + std::to_string(i));
-  std::vector<std::string_view> messages(storage.begin(), storage.end());
-  std::vector<Signature> sigs = signer().sign_many(key_a(), messages);
+  // 1k signatures at N = 64, plus a smaller corpus at the serving degree
+  // N = 512, whose transforms are eight times longer.
+  prng::ChaCha20Source rng(512);
+  const KeyPair key_512 = keygen(FalconParams::for_degree(512), rng);
+  const struct {
+    const KeyPair& kp;
+    std::size_t count;
+  } corpora[] = {{key_a(), 1000}, {key_512, 128}};
 
-  // Tamper a deterministic quarter of them (rotating tamper kind) so the
-  // differential covers both verdicts.
-  for (std::size_t i = 0; i < kCount; i += 4) {
-    switch ((i / 4) % 3) {
-      case 0: sigs[i].s1[i % sigs[i].s1.size()] += 1; break;
-      case 1: storage[i] += " (tampered)"; break;
-      default: sigs[i].nonce[i % sigs[i].nonce.size()] ^= 0x80; break;
+  for (const auto& [kp, count] : corpora) {
+    SCOPED_TRACE("N = " + std::to_string(kp.params.n));
+    std::vector<std::string> storage;
+    storage.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+      storage.push_back("differential message " + std::to_string(i));
+    std::vector<std::string_view> messages(storage.begin(), storage.end());
+    std::vector<Signature> sigs = signer().sign_many(kp, messages);
+
+    // Tamper a deterministic quarter of them (rotating tamper kind) so the
+    // differential covers both verdicts.
+    for (std::size_t i = 0; i < count; i += 4) {
+      switch ((i / 4) % 3) {
+        case 0: sigs[i].s1[i % sigs[i].s1.size()] += 1; break;
+        case 1: storage[i] += " (tampered)"; break;
+        default: sigs[i].nonce[i % sigs[i].nonce.size()] ^= 0x80; break;
+      }
+      messages[i] = storage[i];
     }
-    messages[i] = storage[i];
+
+    const Verifier scalar(kp.h, kp.params);
+    VerificationService svc({.num_threads = 3});
+    const auto batched = svc.verify_many(kp.h, kp.params, messages, sigs);
+    ASSERT_EQ(batched.size(), count);
+
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const bool want = scalar.verify(messages[i], sigs[i]);
+      EXPECT_EQ(batched[i] != 0, want) << "index " << i;
+      EXPECT_EQ(svc.verify(kp.h, kp.params, messages[i], sigs[i]), want)
+          << "index " << i;
+      accepted += want ? 1 : 0;
+    }
+    // Untampered ones all verify; tampered ones all fail.
+    EXPECT_EQ(accepted, count - (count + 3) / 4);
+
+    const VerifyStats stats = svc.stats();
+    EXPECT_EQ(stats.checked, 2 * count);
+    EXPECT_EQ(stats.accepted, 2 * accepted);
+    EXPECT_EQ(stats.batches, 1u);
   }
-
-  const Verifier scalar(key_a().h, key_a().params);
-  VerificationService svc({.num_threads = 3});
-  const auto batched =
-      svc.verify_many(key_a().h, key_a().params, messages, sigs);
-  ASSERT_EQ(batched.size(), kCount);
-
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const bool want = scalar.verify(messages[i], sigs[i]);
-    EXPECT_EQ(batched[i] != 0, want) << "index " << i;
-    EXPECT_EQ(svc.verify(key_a().h, key_a().params, messages[i], sigs[i]),
-              want)
-        << "index " << i;
-    accepted += want ? 1 : 0;
-  }
-  // Untampered ones all verify; tampered ones all fail.
-  EXPECT_EQ(accepted, kCount - (kCount + 3) / 4);
-
-  const VerifyStats stats = svc.stats();
-  EXPECT_EQ(stats.checked, 2 * kCount);
-  EXPECT_EQ(stats.accepted, 2 * accepted);
-  EXPECT_EQ(stats.batches, 1u);
 }
 
 // ------------------------------------------------------------- key caching ---
