@@ -40,6 +40,9 @@ const char* const kRequiredMetrics[] = {
     "cgs_trace_queue_wait_us",
     "cgs_trace_linger_us",
     "cgs_trace_compute_us",
+    // The one submit -> fulfil latency series per request class (every
+    // completion records there once; there is no per-lane copy).
+    "cgs_serve_sign_latency_us",
     // Transport health.
     "cgs_net_connections_open",
     // All three per-key caches, hits and misses.

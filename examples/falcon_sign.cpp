@@ -45,9 +45,10 @@ int main(int argc, char** argv) {
   // on-disk cache after the first ever run on this machine.
   ct::BufferedSampler base(*engine::SamplerRegistry::global().get(
       gauss::GaussianParams::sigma_2(128)));
-  falcon::Signer signer(kp, base);
+  ScalarBlockSource src(base, rng);
+  falcon::Signer signer(kp, src);
   falcon::SignStats sstats;
-  const falcon::Signature sig = signer.sign(message, rng, &sstats);
+  const falcon::Signature sig = signer.sign(message, &sstats);
   std::printf("message: \"%s\"\n", message.c_str());
   std::printf("ffSampling attempts: %llu, base Gaussian draws: %llu\n",
               static_cast<unsigned long long>(sstats.attempts),

@@ -324,8 +324,8 @@ int main(int argc, char** argv) {
               force_closed);
   std::printf("sign lanes: occupancy %.1f, p99 %.0fus | verify lanes: "
               "occupancy %.1f, p99 %.0fus | keygens completed: %llu\n",
-              m.sign_occupancy(), m.p99_us, m.verify_occupancy(),
-              m.verify_p99_us,
+              m.sign_occupancy(), m.sign_latency.p99_us, m.verify_occupancy(),
+              m.verify_latency.p99_us,
               static_cast<unsigned long long>(m.keygen_completed()));
   std::printf("cached trees: %zu, cached verify keys: %zu\n",
               dispatcher.signing_service().num_cached_trees(),

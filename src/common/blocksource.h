@@ -8,14 +8,13 @@
 // and refill it with one virtual call per block instead of one per sample.
 //
 // preferred_block() lets each producer advertise its natural granularity:
-// scalar shims say 1 (so legacy CDT baselines stay genuinely scalar — no
+// ScalarBlockSource says 1 (so the CDT baselines stay genuinely scalar — no
 // hidden prefetch, no discarded randomness), batch producers say a
 // multiple of their lane count.
 
 #include <cstdint>
 #include <span>
 
-#include "common/check.h"
 #include "common/randombits.h"
 #include "common/sampler.h"
 
@@ -42,25 +41,20 @@ class BlockSource {
   virtual bool constant_time() const = 0;
 };
 
-/// Legacy shim: adapts a scalar IntSampler + RandomBitSource pair to the
-/// block interface, one virtual call per element — the plug-in point for
-/// Table 1's CDT variants, which have no batch form. The bit source is
-/// rebindable because legacy call sites (Signer::sign(msg, rng)) hand a
-/// fresh rng per call; preferred_block() == 1 keeps draw order identical
-/// to the historical scalar loop.
+/// Adapts a scalar IntSampler + RandomBitSource pair (both not owned) to
+/// the block interface, one virtual call per element — the plug-in point
+/// for Table 1's CDT variants, which have no batch form.
+/// preferred_block() == 1 keeps draw order identical to the historical
+/// scalar loop.
 class ScalarBlockSource final : public BlockSource {
  public:
-  explicit ScalarBlockSource(IntSampler& base, RandomBitSource* rng = nullptr)
-      : base_(&base), rng_(rng) {}
-
-  void bind(RandomBitSource& rng) { rng_ = &rng; }
+  ScalarBlockSource(IntSampler& base, RandomBitSource& rng)
+      : base_(&base), rng_(&rng) {}
 
   void fill_base(std::span<std::int32_t> out) override {
-    CGS_CHECK_MSG(rng_ != nullptr, "ScalarBlockSource has no bound rng");
     for (auto& v : out) v = base_->sample(*rng_);
   }
   void fill_words(std::span<std::uint64_t> out) override {
-    CGS_CHECK_MSG(rng_ != nullptr, "ScalarBlockSource has no bound rng");
     rng_->fill_words(out);
   }
   std::size_t preferred_block() const override { return 1; }

@@ -24,31 +24,8 @@ SamplerZ::SamplerZ(BlockSource& source, double sigma_base)
   CGS_CHECK(sigma_base > 0);
 }
 
-SamplerZ::SamplerZ(IntSampler& base, double sigma_base)
-    : shim_(std::make_unique<ScalarBlockSource>(base)),
-      src_(shim_.get()),
-      sigma_base_(sigma_base),
-      inv_2sb2_(1.0 / (2.0 * sigma_base * sigma_base)),
-      base_ring_(1),
-      word_ring_(1),
-      base_pos_(1),
-      word_pos_(1) {
-  CGS_CHECK(sigma_base > 0);
-}
-
-void SamplerZ::bind(RandomBitSource& rng) {
-  CGS_CHECK_MSG(shim_ != nullptr,
-                "bind() is only valid on the scalar-shim SamplerZ");
-  shim_->bind(rng);
-}
-
 std::int32_t SamplerZ::sample(double c, double sigma) {
   return sample(c, sigma, inv_two_sigma_sq(sigma));
-}
-
-std::int32_t SamplerZ::sample(double c, double sigma, RandomBitSource& rng) {
-  bind(rng);
-  return sample(c, sigma);
 }
 
 }  // namespace cgs::falcon

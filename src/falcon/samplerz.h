@@ -10,9 +10,9 @@
 // from prefetched rings refilled one BlockSource block at a time, so the
 // bit-sliced backends amortize a whole netlist pass (64-256 lanes, or an
 // engine fan-out) per refill instead of paying the scalar pull per
-// proposal. The legacy scalar path survives as a ScalarBlockSource shim
-// (preferred block 1 — identical draw order to the historical loop), which
-// is how the CDT variants still plug in.
+// proposal. Scalar base samplers (Table 1's CDT variants) plug in through
+// a caller-owned ScalarBlockSource (preferred block 1 — identical draw
+// order to the historical scalar loop).
 //
 // Threading contract: a SamplerZ is single-consumer. The stats counters
 // are plain per-instance fields — the SigningService gives every slot
@@ -23,13 +23,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/blocksource.h"
 #include "common/check.h"
-#include "common/randombits.h"
-#include "common/sampler.h"
 
 namespace cgs::falcon {
 
@@ -118,11 +115,6 @@ class SamplerZ {
   /// in blocks of its preferred size.
   SamplerZ(BlockSource& source, double sigma_base);
 
-  /// Legacy scalar shim: `base` (not owned) is wrapped in an internal
-  /// ScalarBlockSource; randomness must be bound per call through
-  /// sample(c, sigma, rng) or bind().
-  SamplerZ(IntSampler& base, double sigma_base);
-
   SamplerZ(const SamplerZ&) = delete;
   SamplerZ& operator=(const SamplerZ&) = delete;
 
@@ -162,13 +154,6 @@ class SamplerZ {
     }
   }
 
-  /// Legacy entry: binds `rng` into the scalar shim, then samples. Only
-  /// valid on shim-constructed instances.
-  std::int32_t sample(double c, double sigma, RandomBitSource& rng);
-
-  /// Rebind the scalar shim's bit source (shim-constructed instances only).
-  void bind(RandomBitSource& rng);
-
   /// One uniform word off the word ring — nonces ride the same prefetched
   /// supply as the rejection uniforms.
   std::uint64_t next_word() {
@@ -194,7 +179,6 @@ class SamplerZ {
     return base_ring_[base_pos_++];
   }
 
-  std::unique_ptr<ScalarBlockSource> shim_;  // legacy path only
   BlockSource* src_;
   double sigma_base_;
   double inv_2sb2_;  // 1/(2 sigma_base^2)

@@ -97,39 +97,20 @@ Signature sign_with(const KeyPair& kp, const FalconTree& tree,
   return sig;
 }
 
-Signer::Signer(const KeyPair& kp, IntSampler& base, double sigma_base)
-    : kp_(&kp),
-      tree_(std::make_shared<const FalconTree>(kp)),
-      samplerz_(base, sigma_base),
-      legacy_(true) {}
-
 Signer::Signer(const KeyPair& kp, BlockSource& source, double sigma_base)
     : kp_(&kp),
       tree_(std::make_shared<const FalconTree>(kp)),
-      samplerz_(source, sigma_base),
-      legacy_(false) {}
+      samplerz_(source, sigma_base) {}
 
 Signer::Signer(std::shared_ptr<const FalconTree> tree, const KeyPair& kp,
                BlockSource& source, double sigma_base)
     : kp_(&kp),
       tree_(std::move(tree)),
-      samplerz_(source, sigma_base),
-      legacy_(false) {
+      samplerz_(source, sigma_base) {
   CGS_CHECK_MSG(tree_ != nullptr, "Signer needs a tree");
 }
 
 Signature Signer::sign(std::string_view message, SignStats* stats) {
-  CGS_CHECK_MSG(!legacy_,
-                "IntSampler-constructed Signer needs sign(message, rng)");
-  return sign_with(*kp_, *tree_, message, samplerz_, scratch_, stats);
-}
-
-Signature Signer::sign(std::string_view message, RandomBitSource& rng,
-                       SignStats* stats) {
-  CGS_CHECK_MSG(legacy_,
-                "BlockSource-constructed Signer draws its own randomness; "
-                "use sign(message)");
-  samplerz_.bind(rng);
   return sign_with(*kp_, *tree_, message, samplerz_, scratch_, stats);
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 // Falcon signing: hash-to-point, ffSampling over the secret basis, norm
-// check, signature compression. The base Gaussian supply is injected —
-// this is the knob Table 1 turns — either as a legacy scalar IntSampler or
-// as a batch BlockSource (engine-backed in production; see
-// falcon/signing_service.h for the multi-key, multi-thread front end).
+// check, signature compression. The base Gaussian supply is injected as a
+// BlockSource — this is the knob Table 1 turns: engine-backed in
+// production (see falcon/signing_service.h for the multi-key,
+// multi-thread front end), a ScalarBlockSource over a CDT variant in the
+// Table 1 baselines.
 
 #include <array>
 #include <memory>
@@ -37,25 +38,15 @@ Signature sign_with(const KeyPair& kp, const FalconTree& tree,
 
 class Signer {
  public:
-  /// Legacy scalar path: `base` (not owned) is the sigma=2 base sampler
-  /// under test; randomness arrives per call via sign(message, rng).
-  Signer(const KeyPair& kp, IntSampler& base, double sigma_base = 2.0);
-
-  /// Batch path: everything (proposals, uniforms, nonces) rides `source`
-  /// (not owned); use sign(message) — no per-call rng.
+  /// Everything (proposals, uniforms, nonces) rides `source` (not owned).
   Signer(const KeyPair& kp, BlockSource& source, double sigma_base = 2.0);
 
-  /// Batch path over a pre-built tree shared with other signers (the
-  /// SigningService hands every worker the same cached tree).
+  /// Over a pre-built tree shared with other signers (the SigningService
+  /// hands every worker the same cached tree).
   Signer(std::shared_ptr<const FalconTree> tree, const KeyPair& kp,
          BlockSource& source, double sigma_base = 2.0);
 
-  /// Block-source form; only valid on the BlockSource constructors.
   Signature sign(std::string_view message, SignStats* stats = nullptr);
-
-  /// Legacy form; only valid on the IntSampler constructor.
-  Signature sign(std::string_view message, RandomBitSource& rng,
-                 SignStats* stats = nullptr);
 
   const FalconTree& tree() const { return *tree_; }
   const KeyPair& key() const { return *kp_; }
@@ -65,7 +56,6 @@ class Signer {
   std::shared_ptr<const FalconTree> tree_;
   SamplerZ samplerz_;
   FfScratch scratch_;
-  bool legacy_;
 };
 
 }  // namespace cgs::falcon

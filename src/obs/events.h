@@ -4,8 +4,8 @@
 // (an overload shed, a cache eviction, a KvStore compaction or torn-tail
 // recovery, a keygen starting). Emitters are hot paths (reactor loops,
 // cache eviction under a lock), so emit() is wait-free: one fetch_add to
-// claim a slot plus a seqlock write; a reader that catches a slot
-// mid-write skips it. The ring keeps the most recent `capacity` events;
+// claim a slot plus an obs::SeqlockSlot write; a reader that catches a
+// slot mid-write skips it. The ring keeps the most recent `capacity` events;
 // per-kind counters are kept separately and never wrap, so "how many
 // sheds ever" survives even when the shed events themselves have been
 // overwritten.
@@ -19,10 +19,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
+
+#include "obs/seqlock.h"
 
 namespace cgs::obs {
 
@@ -70,7 +72,7 @@ class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 256)
       : capacity_(capacity == 0 ? 1 : capacity),
-        ring_(std::make_unique<Slot[]>(capacity_)) {}
+        ring_(std::make_unique<SeqlockSlot<Event>[]>(capacity_)) {}
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -83,25 +85,14 @@ class EventLog {
             std::string_view detail = {}) {
     counts_[static_cast<std::size_t>(kind)].fetch_add(
         1, std::memory_order_relaxed);
-    const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed) + 1;
-    Slot& slot = ring_[(seq - 1) % capacity_];
-    std::uint32_t v = slot.version.load(std::memory_order_relaxed);
-    if (v & 1u) return;  // writer inside after a full wrap: drop ours
-    if (!slot.version.compare_exchange_strong(v, v + 1,
-                                              std::memory_order_acquire))
-      return;
-    slot.event.seq = seq;
-    slot.event.ts_us = now_us();
-    slot.event.kind = kind;
-    slot.event.a = a;
-    slot.event.b = b;
-    const std::size_t n =
-        detail.size() < sizeof slot.event.detail - 1
-            ? detail.size()
-            : sizeof slot.event.detail - 1;
-    std::memcpy(slot.event.detail, detail.data(), n);
-    slot.event.detail[n] = '\0';
-    slot.version.store(v + 2, std::memory_order_release);
+    Event e;
+    e.seq = head_.fetch_add(1, std::memory_order_relaxed) + 1;
+    e.ts_us = now_us();
+    e.kind = kind;
+    e.a = a;
+    e.b = b;
+    detail.copy(e.detail, sizeof e.detail - 1);  // stays NUL-terminated
+    ring_[(e.seq - 1) % capacity_].try_store(e);
   }
 
   /// Copies of the retained events, oldest first. Lock-free: a slot being
@@ -109,15 +100,8 @@ class EventLog {
   std::vector<Event> snapshot() const {
     std::vector<Event> out;
     out.reserve(capacity_);
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      const Slot& slot = ring_[i];
-      const std::uint32_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 & 1u) continue;
-      Event e = slot.event;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.version.load(std::memory_order_relaxed) != v1) continue;
-      if (e.seq != 0) out.push_back(e);
-    }
+    for (std::size_t i = 0; i < capacity_; ++i)
+      if (const std::optional<Event> e = ring_[i].load()) out.push_back(*e);
     std::sort(out.begin(), out.end(),
               [](const Event& x, const Event& y) { return x.seq < y.seq; });
     return out;
@@ -143,15 +127,8 @@ class EventLog {
   }
 
  private:
-  // Seqlock slot, same discipline as obs::Tracer's slow ring: even
-  // version = stable, odd = writer inside.
-  struct alignas(64) Slot {
-    std::atomic<std::uint32_t> version{0};
-    Event event;
-  };
-
   std::size_t capacity_;
-  std::unique_ptr<Slot[]> ring_;
+  std::unique_ptr<SeqlockSlot<Event>[]> ring_;
   std::atomic<std::uint64_t> head_{0};
   std::array<std::atomic<std::uint64_t>, kNumEventKinds> counts_{};
 };

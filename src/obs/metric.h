@@ -54,8 +54,20 @@ class alignas(64) Gauge {
 };
 
 /// 65 log2 buckets over microseconds: [0] holds 0us, [k] holds
-/// [2^(k-1), 2^k) us.
-using HistogramBuckets = std::array<std::uint64_t, 65>;
+/// [2^(k-1), 2^k) us. The bucket layout lives here alone: every
+/// histogram (cumulative, windowed, labeled) indexes through
+/// bucket_index().
+inline constexpr std::size_t kHistogramBuckets = 65;
+using HistogramBuckets = std::array<std::uint64_t, kHistogramBuckets>;
+
+/// The bucket an observation of `us` microseconds lands in.
+inline std::size_t bucket_index(std::uint64_t us) {
+  // bit_width(us) is in [0, 64] for any u64, but clamp explicitly so a
+  // future widening of the input type (or a narrower bucket array) can
+  // never index past the overflow bucket — us >= 2^63 lands in [64].
+  const int bucket = std::bit_width(us);
+  return bucket > 64 ? 64 : static_cast<std::size_t>(bucket);
+}
 
 /// Upper bound (us) of the bucket holding the q-quantile observation of a
 /// bucket array (q in [0, 1]); 0 when empty. Resolution is the bucket
@@ -83,17 +95,11 @@ inline double bucket_quantile(const HistogramBuckets& buckets, double q) {
 class alignas(64) Histogram {
  public:
   void record(std::uint64_t us, std::uint64_t exemplar_id = 0) {
-    // bit_width(us) is in [0, 64] for any u64, but clamp explicitly so a
-    // future widening of the input type (or a narrower bucket array) can
-    // never index past the overflow bucket — us >= 2^63 lands in [64].
-    int bucket = std::bit_width(us);
-    if (bucket > 64) bucket = 64;
-    buckets_[static_cast<std::size_t>(bucket)].fetch_add(
-        1, std::memory_order_relaxed);
+    const std::size_t bucket = bucket_index(us);
+    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(us, std::memory_order_relaxed);
     if (exemplar_id != 0)
-      exemplars_[static_cast<std::size_t>(bucket)].store(
-          exemplar_id, std::memory_order_relaxed);
+      exemplars_[bucket].store(exemplar_id, std::memory_order_relaxed);
   }
 
   std::uint64_t count() const {
@@ -140,8 +146,8 @@ class alignas(64) Histogram {
   }
 
  private:
-  std::array<std::atomic<std::uint64_t>, 65> buckets_{};
-  std::array<std::atomic<std::uint64_t>, 65> exemplars_{};
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> exemplars_{};
   std::atomic<std::uint64_t> sum_{0};
 };
 

@@ -95,17 +95,6 @@ HistogramFamily& Registry::histogram_family(const std::string& name,
   return *slot.histogram_family;
 }
 
-WindowedCounter& Registry::windowed_counter(const std::string& name,
-                                            WindowOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = slot_for(name, Kind::kCounter, /*callback=*/false);
-  if (!slot.counter) slot.counter = std::make_unique<Counter>();
-  if (!slot.windowed_counter)
-    slot.windowed_counter =
-        std::make_unique<WindowedCounter>(*slot.counter, options);
-  return *slot.windowed_counter;
-}
-
 WindowedHistogram& Registry::windowed_histogram(const std::string& name,
                                                 WindowOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -202,23 +191,17 @@ std::vector<Sample> Registry::collect() const {
         out.push_back(std::move(c));
       }
     }
-    // Derived window gauges (rates / last-window quantiles). Computed at
-    // scrape time from the rings; names extend the base instrument's.
-    auto derived = [&out](const std::string& n, double v) {
-      Sample d;
-      d.name = n;
-      d.kind = Kind::kGauge;
-      d.value = v;
-      out.push_back(std::move(d));
-    };
-    if (slot.windowed_counter) {
-      const WindowedCounter& w = *slot.windowed_counter;
-      derived(name + "_win_count", static_cast<double>(w.window_count()));
-      derived(name + "_win_rate", w.rate_per_s());
-    }
+    // Derived last-window gauges, computed at scrape time from the ring;
+    // names extend the base instrument's.
     if (slot.windowed_histogram) {
-      const WindowedHistogram& w = *slot.windowed_histogram;
-      const HistogramBuckets wb = w.window_buckets();
+      auto derived = [&out](const std::string& n, double v) {
+        Sample d;
+        d.name = n;
+        d.kind = Kind::kGauge;
+        d.value = v;
+        out.push_back(std::move(d));
+      };
+      const HistogramBuckets wb = slot.windowed_histogram->window_buckets();
       std::uint64_t wc = 0;
       for (std::uint64_t b : wb) wc += b;
       derived(name + "_win_count", static_cast<double>(wc));

@@ -79,10 +79,8 @@ class Registry {
                                     FamilyOptions options = {});
 
   /// Create-or-get a sliding-window companion over `name` (same wrapping
-  /// contract as families: one call feeds both the cumulative instrument
+  /// contract as families: one call feeds both the cumulative histogram
   /// and the window ring). collect() emits derived `<name>_win_*` gauges.
-  WindowedCounter& windowed_counter(const std::string& name,
-                                    WindowOptions options = {});
   WindowedHistogram& windowed_histogram(const std::string& name,
                                         WindowOptions options = {});
 
@@ -122,7 +120,6 @@ class Registry {
     // Optional companions wrapping the owned instrument above.
     std::unique_ptr<CounterFamily> counter_family;
     std::unique_ptr<HistogramFamily> histogram_family;
-    std::unique_ptr<WindowedCounter> windowed_counter;
     std::unique_ptr<WindowedHistogram> windowed_histogram;
   };
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace cgs::obs {
 
@@ -29,7 +30,8 @@ Tracer::Tracer(Registry& registry, TraceOptions options,
       total_(registry.histogram(prefix + "_total_us")),
       sampled_(registry.counter(prefix + "_sampled_total")),
       ring_size_(options.slow_ring) {
-  if (ring_size_ > 0) ring_ = std::make_unique<Slot[]>(ring_size_);
+  if (ring_size_ > 0)
+    ring_ = std::make_unique<SeqlockSlot<SlowTrace>[]>(ring_size_);
 }
 
 void Tracer::finish(const Trace& t) {
@@ -57,51 +59,34 @@ void Tracer::finish(const Trace& t) {
 void Tracer::offer_slow(const Trace& t, std::uint64_t total_us) {
   if (ring_size_ == 0 || total_us == 0) return;
   // Find the currently-cheapest slot; replace it if we are slower. The
-  // scan is racy (totals move under us) — acceptable: the ring only has
-  // to be approximately the K slowest.
+  // scan is racy (slots change under us; one being written reads as
+  // empty) — acceptable: the ring only has to be approximately the K
+  // slowest.
   std::size_t victim = 0;
   std::uint64_t victim_total = ~std::uint64_t{0};
   for (std::size_t i = 0; i < ring_size_; ++i) {
-    const std::uint64_t cur = ring_[i].total.load(std::memory_order_relaxed);
-    if (cur < victim_total) {
-      victim_total = cur;
+    const std::optional<SlowTrace> cur = ring_[i].load();
+    const std::uint64_t cur_total = cur ? cur->total_us : 0;
+    if (cur_total < victim_total) {
+      victim_total = cur_total;
       victim = i;
     }
   }
   if (total_us <= victim_total) return;
-  Slot& slot = ring_[victim];
-  std::uint32_t v = slot.version.load(std::memory_order_relaxed);
-  if (v & 1u) return;  // another writer is inside; drop ours
-  if (!slot.version.compare_exchange_strong(v, v + 1,
-                                            std::memory_order_acquire))
-    return;  // lost the race; drop
-  slot.stamps = t.stamps;
-  slot.trace_id = t.trace_id;
-  slot.request_id = t.request_id;
-  slot.tenant = t.tenant;
-  slot.req_class = t.req_class;
-  slot.total.store(total_us, std::memory_order_relaxed);
-  slot.version.store(v + 2, std::memory_order_release);
+  // A writer already inside the victim wins; ours is dropped.
+  ring_[victim].try_store(SlowTrace{.total_us = total_us,
+                                    .trace_id = t.trace_id,
+                                    .request_id = t.request_id,
+                                    .tenant = t.tenant,
+                                    .req_class = t.req_class,
+                                    .stamps = t.stamps});
 }
 
 std::vector<SlowTrace> Tracer::slowest() const {
   std::vector<SlowTrace> out;
   out.reserve(ring_size_);
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    const Slot& slot = ring_[i];
-    const std::uint32_t v1 = slot.version.load(std::memory_order_acquire);
-    if (v1 & 1u) continue;  // writer inside
-    SlowTrace st;
-    st.total_us = slot.total.load(std::memory_order_relaxed);
-    st.trace_id = slot.trace_id;
-    st.request_id = slot.request_id;
-    st.tenant = slot.tenant;
-    st.req_class = slot.req_class;
-    st.stamps = slot.stamps;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.version.load(std::memory_order_relaxed) != v1) continue;  // torn
-    if (st.total_us != 0) out.push_back(st);
-  }
+  for (std::size_t i = 0; i < ring_size_; ++i)
+    if (const std::optional<SlowTrace> st = ring_[i].load()) out.push_back(*st);
   std::sort(out.begin(), out.end(), [](const SlowTrace& a, const SlowTrace& b) {
     return a.total_us > b.total_us;
   });

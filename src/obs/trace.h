@@ -12,7 +12,7 @@
 // queue-wait (enqueued->batch_closed), linger (batch_closed->engine_start),
 // compute (engine_start->engine_end), fulfil (engine_end->fulfilled),
 // write-stall (fulfilled->flushed) and end-to-end total — and keeps the K
-// slowest complete traces in a lock-free seqlock ring so "what did the
+// slowest complete traces in a ring of obs::SeqlockSlot so "what did the
 // worst request actually do" survives until scrape time.
 //
 // Stamps are steady-clock microseconds; 0 means "stage never happened"
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "obs/registry.h"
+#include "obs/seqlock.h"
 
 namespace cgs::obs {
 
@@ -171,18 +172,6 @@ class Tracer {
   std::vector<SlowTrace> slowest() const;
 
  private:
-  // Seqlock slot: even version = stable, odd = writer inside. total is
-  // atomic so the min-scan can read it without entering the lock.
-  struct alignas(64) Slot {
-    std::atomic<std::uint32_t> version{0};
-    std::atomic<std::uint64_t> total{0};
-    std::uint64_t trace_id = 0;
-    std::uint64_t request_id = 0;
-    std::uint64_t tenant = 0;
-    RequestClass req_class = RequestClass::kOther;
-    std::array<std::uint64_t, kNumStages> stamps{};
-  };
-
   void offer_slow(const Trace& t, std::uint64_t total_us);
 
   TraceOptions options_;
@@ -194,7 +183,7 @@ class Tracer {
   Histogram& write_stall_;
   Histogram& total_;
   Counter& sampled_;
-  std::unique_ptr<Slot[]> ring_;
+  std::unique_ptr<SeqlockSlot<SlowTrace>[]> ring_;
   std::size_t ring_size_;
 };
 

@@ -1,16 +1,16 @@
 #pragma once
-// obs::Windowed<Counter|Histogram>: sliding-window companions to the
-// cumulative instruments. A cumulative counter answers "how many ever";
-// operations needs "how many per second right now" and "what is p99 over
-// the last minute". Each windowed instrument wraps its cumulative global
-// (every record lands in both) and adds a ring of fixed epochs (default
-// 12 x 10s): recording CASes the target slot's epoch id forward when a
-// new epoch begins — the winner zeroes the slot, losers spin the handful
-// of nanoseconds until the new epoch is published, then add. All state is
-// atomic (TSan-clean); the one approximation is a thread preempted across
-// an epoch boundary attributing a single observation to the wrong 10s
-// slot, which is noise at monitoring granularity and never desynchronizes
-// the cumulative global (that was already bumped).
+// obs::WindowedHistogram: the sliding-window companion to a cumulative
+// histogram. The cumulative series answers "what was p99 ever";
+// operations needs "what is p99 over the last two minutes". It wraps its
+// cumulative global (every record lands in both) and adds a ring of fixed
+// epochs (default 12 x 10s): recording CASes the target slot's epoch id
+// forward when a new epoch begins — the winner zeroes the slot, losers
+// spin the handful of nanoseconds until the new epoch is published, then
+// add. All state is atomic (TSan-clean); the one approximation is a
+// thread preempted across an epoch boundary attributing a single
+// observation to the wrong 10s slot, which is noise at monitoring
+// granularity and never desynchronizes the cumulative global (that was
+// already bumped).
 //
 // Reads merge every slot whose epoch id is still inside the window, so an
 // idle instrument decays to zero as its slots age out rather than
@@ -18,7 +18,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -32,109 +31,10 @@ struct WindowOptions {
   std::size_t epochs = 12;              // 12 slots -> 2-minute window
 };
 
-namespace detail {
-
-inline std::uint64_t window_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// CAS the slot's epoch id up to `epoch`, zeroing via `reset` when this
-/// thread wins the rotation. Returns once the slot is publishing `epoch`
-/// or a later one (a straggler then adds to the newer epoch — see the
-/// header comment).
-template <typename Reset>
-void rotate_slot(std::atomic<std::uint64_t>& slot_epoch, std::uint64_t epoch,
-                 Reset&& reset) {
-  std::uint64_t cur = slot_epoch.load(std::memory_order_acquire);
-  while (cur < epoch) {
-    // Claim with an odd sentinel is unnecessary: the winner zeroes and
-    // THEN publishes the epoch (release), and losers wait below, so no
-    // thread adds between the claim and the zeroing.
-    if (slot_epoch.compare_exchange_weak(cur, ~std::uint64_t{0},
-                                         std::memory_order_acq_rel)) {
-      reset();
-      slot_epoch.store(epoch, std::memory_order_release);
-      return;
-    }
-  }
-  // Another thread is rotating (sentinel) or already published: wait for
-  // a real epoch id >= ours.
-  while (slot_epoch.load(std::memory_order_acquire) == ~std::uint64_t{0}) {
-  }
-}
-
-}  // namespace detail
-
-/// Sliding-window counter. add() also bumps the wrapped cumulative
-/// counter, so the global series and its window agree by construction.
-class WindowedCounter {
- public:
-  WindowedCounter(Counter& global, WindowOptions options)
-      : global_(global),
-        options_(options),
-        slots_(std::make_unique<Slot[]>(options.epochs)) {
-    CGS_CHECK(options_.epochs > 0 && options_.epoch_us > 0);
-  }
-
-  WindowedCounter(const WindowedCounter&) = delete;
-  WindowedCounter& operator=(const WindowedCounter&) = delete;
-
-  void add(std::uint64_t n = 1) { add_at(n, detail::window_now_us()); }
-
-  void add_at(std::uint64_t n, std::uint64_t now_us) {
-    global_.add(n);
-    const std::uint64_t epoch = now_us / options_.epoch_us;
-    Slot& s = slots_[epoch % options_.epochs];
-    detail::rotate_slot(s.epoch, epoch, [&s] {
-      s.n.store(0, std::memory_order_relaxed);
-    });
-    s.n.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Events inside the live window (slots older than the window excluded).
-  std::uint64_t window_count(std::uint64_t now_us = 0) const {
-    if (now_us == 0) now_us = detail::window_now_us();
-    const std::uint64_t epoch = now_us / options_.epoch_us;
-    const std::uint64_t oldest =
-        epoch >= options_.epochs ? epoch - options_.epochs + 1 : 0;
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < options_.epochs; ++i) {
-      const std::uint64_t e = slots_[i].epoch.load(std::memory_order_acquire);
-      if (e == ~std::uint64_t{0} || e < oldest || e > epoch) continue;
-      total += slots_[i].n.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// Mean events per second over the window span.
-  double rate_per_s(std::uint64_t now_us = 0) const {
-    const double span_s = static_cast<double>(options_.epoch_us) *
-                          static_cast<double>(options_.epochs) / 1e6;
-    return static_cast<double>(window_count(now_us)) / span_s;
-  }
-
-  const WindowOptions& options() const { return options_; }
-
- private:
-  // epoch 0 = "never used": the slot carries zero counts, so window reads
-  // that include it are unchanged. ~0 is reserved as the mid-rotation
-  // sentinel (see detail::rotate_slot).
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<std::uint64_t> n{0};
-  };
-
-  Counter& global_;
-  WindowOptions options_;
-  std::unique_ptr<Slot[]> slots_;
-};
-
-/// Sliding-window log2 latency histogram wrapping a cumulative
-/// obs::Histogram (same bucket layout). record() lands in both; window
-/// reads answer "last-window p50/p95/p99" next to the cumulative series.
+/// Sliding-window latency histogram wrapping a cumulative obs::Histogram
+/// (same bucket layout, obs::bucket_index). record() lands in both;
+/// window reads answer "last-window p50/p95/p99" next to the cumulative
+/// series.
 class WindowedHistogram {
  public:
   WindowedHistogram(Histogram& global, WindowOptions options)
@@ -147,57 +47,83 @@ class WindowedHistogram {
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
-  void record(std::uint64_t us, std::uint64_t exemplar_trace_id = 0) {
-    global_.record(us, exemplar_trace_id);
-    const std::uint64_t now = detail::window_now_us();
-    const std::uint64_t epoch = now / options_.epoch_us;
-    Slot& s = slots_[epoch % options_.epochs];
-    detail::rotate_slot(s.epoch, epoch, [&s] {
-      for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-      s.sum.store(0, std::memory_order_relaxed);
-    });
-    int bucket = std::bit_width(us);
-    if (bucket > 64) bucket = 64;
-    s.buckets[static_cast<std::size_t>(bucket)].fetch_add(
-        1, std::memory_order_relaxed);
-    s.sum.fetch_add(us, std::memory_order_relaxed);
+  static std::uint64_t now_us() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
   }
 
+  void record(std::uint64_t us, std::uint64_t exemplar_trace_id = 0) {
+    global_.record(us, exemplar_trace_id);
+    const std::uint64_t epoch = now_us() / options_.epoch_us;
+    Slot& s = slots_[epoch % options_.epochs];
+    rotate(s, epoch);
+    s.buckets[bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The wrapped cumulative histogram.
+  const Histogram& cumulative() const { return global_; }
+
   /// Merged buckets of every slot still inside the window.
-  HistogramBuckets window_buckets(std::uint64_t now_us = 0) const {
-    if (now_us == 0) now_us = detail::window_now_us();
-    const std::uint64_t epoch = now_us / options_.epoch_us;
+  HistogramBuckets window_buckets(std::uint64_t now = 0) const {
+    if (now == 0) now = now_us();
+    const std::uint64_t epoch = now / options_.epoch_us;
     const std::uint64_t oldest =
         epoch >= options_.epochs ? epoch - options_.epochs + 1 : 0;
     HistogramBuckets acc{};
     for (std::size_t i = 0; i < options_.epochs; ++i) {
       const std::uint64_t e = slots_[i].epoch.load(std::memory_order_acquire);
-      if (e == ~std::uint64_t{0} || e < oldest || e > epoch) continue;
+      if (e == kRotating || e < oldest || e > epoch) continue;
       for (std::size_t b = 0; b < acc.size(); ++b)
         acc[b] += slots_[i].buckets[b].load(std::memory_order_relaxed);
     }
     return acc;
   }
 
-  std::uint64_t window_count(std::uint64_t now_us = 0) const {
-    const HistogramBuckets acc = window_buckets(now_us);
+  std::uint64_t window_count(std::uint64_t now = 0) const {
+    const HistogramBuckets acc = window_buckets(now);
     std::uint64_t n = 0;
     for (std::uint64_t b : acc) n += b;
     return n;
   }
 
-  double window_quantile(double q, std::uint64_t now_us = 0) const {
-    return bucket_quantile(window_buckets(now_us), q);
+  double window_quantile(double q, std::uint64_t now = 0) const {
+    return bucket_quantile(window_buckets(now), q);
   }
 
   const WindowOptions& options() const { return options_; }
 
  private:
+  // epoch 0 = "never used": the slot carries zero counts, so window reads
+  // that include it are unchanged.
   struct alignas(64) Slot {
-    std::atomic<std::uint64_t> epoch{0};  // 0 = never used (zero counts)
-    std::array<std::atomic<std::uint64_t>, 65> buckets{};
-    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> epoch{0};
+    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
   };
+  static constexpr std::uint64_t kRotating = ~std::uint64_t{0};
+
+  /// CAS the slot's epoch id up to `epoch`, zeroing the buckets when this
+  /// thread wins the rotation. Returns once the slot is publishing
+  /// `epoch` or a later one (a straggler then adds to the newer epoch —
+  /// see the header comment).
+  static void rotate(Slot& s, std::uint64_t epoch) {
+    std::uint64_t cur = s.epoch.load(std::memory_order_acquire);
+    while (cur < epoch) {
+      // The winner zeroes and THEN publishes the epoch (release), and
+      // losers wait below, so no thread adds between claim and zeroing.
+      if (s.epoch.compare_exchange_weak(cur, kRotating,
+                                        std::memory_order_acq_rel)) {
+        for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+        s.epoch.store(epoch, std::memory_order_release);
+        return;
+      }
+    }
+    // Another thread is rotating or already published: wait for a real
+    // epoch id >= ours.
+    while (s.epoch.load(std::memory_order_acquire) == kRotating) {
+    }
+  }
 
   Histogram& global_;
   WindowOptions options_;

@@ -57,9 +57,7 @@ struct ClassTraits<SignRequest> {
   static constexpr bool kLingers = true;
   static int lane_count(const DispatcherOptions& o) { return o.sign_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::sign_lanes;
-  static constexpr std::array kQuantiles = {
-      &MetricsSnapshot::p50_us, &MetricsSnapshot::p95_us,
-      &MetricsSnapshot::p99_us};
+  static constexpr auto kLatency = &MetricsSnapshot::sign_latency;
 };
 template <>
 struct ClassTraits<VerifyRequest> {
@@ -67,9 +65,7 @@ struct ClassTraits<VerifyRequest> {
   static constexpr bool kLingers = true;
   static int lane_count(const DispatcherOptions& o) { return o.verify_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::verify_lanes;
-  static constexpr std::array kQuantiles = {
-      &MetricsSnapshot::verify_p50_us, &MetricsSnapshot::verify_p95_us,
-      &MetricsSnapshot::verify_p99_us};
+  static constexpr auto kLatency = &MetricsSnapshot::verify_latency;
 };
 template <>
 struct ClassTraits<KeygenRequest> {
@@ -79,9 +75,7 @@ struct ClassTraits<KeygenRequest> {
   // Exactly one keygen lane, always (see DispatcherOptions).
   static int lane_count(const DispatcherOptions&) { return 1; }
   static constexpr auto kSnapshot = &MetricsSnapshot::keygen_lanes;
-  static constexpr std::array kQuantiles = {
-      &MetricsSnapshot::keygen_p50_us, &MetricsSnapshot::keygen_p95_us,
-      &MetricsSnapshot::keygen_p99_us};
+  static constexpr auto kLatency = &MetricsSnapshot::keygen_latency;
 };
 template <>
 struct ClassTraits<GaussRequest> {
@@ -90,11 +84,8 @@ struct ClassTraits<GaussRequest> {
   static constexpr bool kLingers = false;
   static int lane_count(const DispatcherOptions& o) { return o.gauss_lanes; }
   static constexpr auto kSnapshot = &MetricsSnapshot::gauss_lanes;
-  static constexpr std::array kQuantiles = {
-      &MetricsSnapshot::gauss_p50_us, &MetricsSnapshot::gauss_p95_us,
-      &MetricsSnapshot::gauss_p99_us};
+  static constexpr auto kLatency = &MetricsSnapshot::gauss_latency;
 };
-constexpr std::array kQuantileLevels = {0.50, 0.95, 0.99};
 
 // How long a batch of class Req waits for company after its first item.
 template <typename Req>
@@ -494,9 +485,7 @@ void Dispatcher::run_lane(Lane<Job<Req>>& lane) {
       for (JobT* job : group) job->trace.stamp(obs::Stage::kEngineEnd);
       for (std::size_t j = 0; j < group.size(); ++j) {
         JobT& job = *group[j];
-        const std::uint64_t latency = elapsed_us(job.submitted);
-        lane.counters.latency.record(latency);
-        record_class(telemetry, job.trace, latency);
+        record_class(telemetry, job.trace, elapsed_us(job.submitted));
         lane.counters.completed.add(1);
         job.trace.stamp(obs::Stage::kFulfilled);
         job.promise.set_value(std::move(results[j]));
@@ -578,7 +567,6 @@ MetricsSnapshot Dispatcher::metrics() const {
   MetricsSnapshot snap;
   for_each_class([&snap](const auto& c) {
     using Traits = TraitsOf<decltype(c)>;
-    obs::HistogramBuckets merged{};
     for (const auto& lane : c.lanes) {
       LaneSnapshot ls;
       ls.submitted = lane->counters.submitted.value();
@@ -594,18 +582,15 @@ MetricsSnapshot Dispatcher::metrics() const {
       ls.priority_inversions = qos.priority_inversions;
       ls.tenant_rejections = qos.tenant_rejections;
       ls.tenant_slots = qos.tenant_slots;
-      // One bucket snapshot per lane: all three quantiles and the merge
-      // come from the same copy, so p50/p95/p99 agree about the total.
-      const obs::HistogramBuckets buckets = lane->counters.latency.snapshot();
-      ls.p50_us = obs::bucket_quantile(buckets, 0.50);
-      ls.p95_us = obs::bucket_quantile(buckets, 0.95);
-      ls.p99_us = obs::bucket_quantile(buckets, 0.99);
-      for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += buckets[i];
       (snap.*Traits::kSnapshot).push_back(ls);
     }
-    for (std::size_t q = 0; q < kQuantileLevels.size(); ++q)
-      snap.*Traits::kQuantiles[q] =
-          obs::bucket_quantile(merged, kQuantileLevels[q]);
+    // The class series records every completion once; one bucket copy
+    // keeps p50/p95/p99 agreeing about the total.
+    const obs::HistogramBuckets buckets =
+        c.telemetry.latency->cumulative().snapshot();
+    snap.*Traits::kLatency = {obs::bucket_quantile(buckets, 0.50),
+                              obs::bucket_quantile(buckets, 0.95),
+                              obs::bucket_quantile(buckets, 0.99)};
   });
   snap.ffldl_tree_cache = signing_->tree_cache_stats();
   snap.ntt_key_cache = verifier_->key_cache_stats();

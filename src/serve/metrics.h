@@ -32,8 +32,7 @@ struct LaneCounters {
         failed(registry.counter(prefix + "_failed_total")),
         expired(registry.counter(prefix + "_expired_total")),
         batches(registry.counter(prefix + "_batches_total")),
-        batched(registry.counter(prefix + "_batched_total")),
-        latency(registry.histogram(prefix + "_latency_us")) {}
+        batched(registry.counter(prefix + "_batched_total")) {}
 
   obs::Counter& submitted;  // accepted into the queue
   obs::Counter& rejected;   // not admitted (kQueueFull / kTenantFull
@@ -43,7 +42,6 @@ struct LaneCounters {
   obs::Counter& expired;    // dropped at batch close: deadline already past
   obs::Counter& batches;    // engine calls dispatched
   obs::Counter& batched;    // requests across those calls
-  obs::Histogram& latency;  // submit -> promise fulfilled
 };
 
 /// Plain-value copy of one lane at a point in time.
@@ -61,7 +59,6 @@ struct LaneSnapshot {
   std::uint64_t priority_inversions = 0;  // invariant: stays 0
   std::uint64_t tenant_rejections = 0;
   std::size_t tenant_slots = 0;
-  double p50_us = 0, p95_us = 0, p99_us = 0;
 
   /// Mean requests per dispatched engine batch — the "are the bit-sliced
   /// lanes actually full" number.
@@ -72,16 +69,22 @@ struct LaneSnapshot {
   }
 };
 
+/// Submit -> fulfil latency quantiles of one request class, read from
+/// its `cgs_serve_<class>_latency_us` series (every lane, lifetime).
+struct LatencyQuantiles {
+  double p50_us = 0, p95_us = 0, p99_us = 0;
+};
+
 /// Snapshot of the whole serving layer (see Dispatcher::metrics()).
 struct MetricsSnapshot {
   std::vector<LaneSnapshot> sign_lanes;
   std::vector<LaneSnapshot> verify_lanes;
   std::vector<LaneSnapshot> keygen_lanes;
   std::vector<LaneSnapshot> gauss_lanes;
-  double p50_us = 0, p95_us = 0, p99_us = 0;  // sign latency, all lanes
-  double verify_p50_us = 0, verify_p95_us = 0, verify_p99_us = 0;
-  double keygen_p50_us = 0, keygen_p95_us = 0, keygen_p99_us = 0;
-  double gauss_p50_us = 0, gauss_p95_us = 0, gauss_p99_us = 0;
+  LatencyQuantiles sign_latency;
+  LatencyQuantiles verify_latency;
+  LatencyQuantiles keygen_latency;
+  LatencyQuantiles gauss_latency;
 
   // Per-key caches underneath the dispatcher (prerequisite numbers for
   // bounding them — ROADMAP eviction work).

@@ -58,12 +58,13 @@ class SignWithEachSampler : public ::testing::TestWithParam<int> {
 TEST_P(SignWithEachSampler, SignVerifyRoundTrip) {
   const KeyPair& kp = shared_key();
   auto base = make_sampler();
-  Signer signer(kp, *base);
-  Verifier verifier(kp.h, kp.params);
   prng::ChaCha20Source rng(777 + GetParam());
+  ScalarBlockSource src(*base, rng);
+  Signer signer(kp, src);
+  Verifier verifier(kp.h, kp.params);
   for (int i = 0; i < 5; ++i) {
     const std::string msg = "message #" + std::to_string(i);
-    const Signature sig = signer.sign(msg, rng);
+    const Signature sig = signer.sign(msg);
     EXPECT_TRUE(verifier.verify(msg, sig)) << base->name();
     EXPECT_FALSE(verifier.verify(msg + "!", sig)) << base->name();
   }
@@ -72,10 +73,11 @@ TEST_P(SignWithEachSampler, SignVerifyRoundTrip) {
 TEST_P(SignWithEachSampler, TamperedSignatureRejected) {
   const KeyPair& kp = shared_key();
   auto base = make_sampler();
-  Signer signer(kp, *base);
-  Verifier verifier(kp.h, kp.params);
   prng::ChaCha20Source rng(99);
-  Signature sig = signer.sign("payload", rng);
+  ScalarBlockSource src(*base, rng);
+  Signer signer(kp, src);
+  Verifier verifier(kp.h, kp.params);
+  Signature sig = signer.sign("payload");
   sig.s1[3] += 2500;  // push the norm out of bounds
   EXPECT_FALSE(verifier.verify("payload", sig));
 }
@@ -87,10 +89,11 @@ TEST(Sign, StatsAccumulate) {
   const KeyPair& kp = shared_key();
   auto& f = fixture();
   cdt::CdtByteScanSampler base(f.table);
-  Signer signer(kp, base);
   prng::ChaCha20Source rng(5);
+  ScalarBlockSource src(base, rng);
+  Signer signer(kp, src);
   SignStats stats;
-  (void)signer.sign("m", rng, &stats);
+  (void)signer.sign("m", &stats);
   EXPECT_GE(stats.attempts, 1u);
   EXPECT_GE(stats.base_samples, 2 * kp.params.n);  // >= one draw per coord
 }
@@ -99,9 +102,10 @@ TEST(Sign, SignatureNormWellBelowBound) {
   const KeyPair& kp = shared_key();
   auto& f = fixture();
   cdt::CdtBinarySearchSampler base(f.table);
-  Signer signer(kp, base);
   prng::ChaCha20Source rng(6);
-  const Signature sig = signer.sign("norm test", rng);
+  ScalarBlockSource src(base, rng);
+  Signer signer(kp, src);
+  const Signature sig = signer.sign("norm test");
   // s1 alone must respect the bound; typical norms sit well inside.
   EXPECT_LT(norm_sq(sig.s1), kp.params.bound_sq());
 }
@@ -121,7 +125,7 @@ void mix_signature(std::uint64_t& h, const Signature& sig) {
 
 TEST(Sign, OutputPinnedAcrossPackedFft) {
   // Golden digests of 32 signatures per degree for fixed keygen and
-  // signing seeds, through the scalar-shim Signer (no compiled kernel).
+  // signing seeds, through a ScalarBlockSource (no compiled kernel).
   // The FFT layout, the tree layout and the exponential only move
   // centers and widths by rounding (~1e-12), which flips a draw with
   // negligible probability, so a mismatch means a bug.
@@ -136,11 +140,12 @@ TEST(Sign, OutputPinnedAcrossPackedFft) {
     prng::ChaCha20Source key_rng(41);
     const KeyPair kp = keygen(FalconParams::for_degree(pin.n), key_rng);
     cdt::CdtBinarySearchSampler base(f.table);
-    Signer signer(kp, base);
     prng::ChaCha20Source rng(42);
+    ScalarBlockSource src(base, rng);
+    Signer signer(kp, src);
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (int i = 0; i < 32; ++i)
-      mix_signature(h, signer.sign("pinned #" + std::to_string(i), rng));
+      mix_signature(h, signer.sign("pinned #" + std::to_string(i)));
     EXPECT_EQ(h, pin.digest)
         << "n=" << pin.n << std::hex << " digest=0x" << h;
   }
@@ -155,13 +160,14 @@ TEST(Tree, LeafSigmasInsideEnvelope) {
 TEST(SamplerZ, MatchesTargetMoments) {
   auto& f = fixture();
   cdt::CdtBinarySearchSampler base(f.table);
-  SamplerZ sz(base, 2.0);
   prng::SplitMix64Source rng(8);
+  ScalarBlockSource src(base, rng);
+  SamplerZ sz(src, 2.0);
   const double c = 3.3, sigma = 1.5;
   double sum = 0, sum_sq = 0;
   const int k = 40000;
   for (int i = 0; i < k; ++i) {
-    const double z = sz.sample(c, sigma, rng);
+    const double z = sz.sample(c, sigma);
     sum += z;
     sum_sq += z * z;
   }
@@ -175,20 +181,22 @@ TEST(SamplerZ, MatchesTargetMoments) {
 TEST(SamplerZ, NegativeCentersWork) {
   auto& f = fixture();
   cdt::CdtLinearCtSampler base(f.table);
-  SamplerZ sz(base, 2.0);
   prng::SplitMix64Source rng(9);
+  ScalarBlockSource src(base, rng);
+  SamplerZ sz(src, 2.0);
   double sum = 0;
   const int k = 20000;
-  for (int i = 0; i < k; ++i) sum += sz.sample(-7.8, 1.3, rng);
+  for (int i = 0; i < k; ++i) sum += sz.sample(-7.8, 1.3);
   EXPECT_NEAR(sum / k, -7.8, 0.05);
 }
 
 TEST(SamplerZ, RejectsSigmaAboveBase) {
   auto& f = fixture();
   cdt::CdtLinearCtSampler base(f.table);
-  SamplerZ sz(base, 2.0);
   prng::SplitMix64Source rng(10);
-  EXPECT_THROW((void)sz.sample(0.0, 2.5, rng), Error);
+  ScalarBlockSource src(base, rng);
+  SamplerZ sz(src, 2.0);
+  EXPECT_THROW((void)sz.sample(0.0, 2.5), Error);
 }
 
 TEST(SamplerZ, DistributionPerCell) {
@@ -201,9 +209,9 @@ TEST(SamplerZ, DistributionPerCell) {
                            params.sigma_max};
   auto& f = fixture();
   cdt::CdtBinarySearchSampler base(f.table);
-  SamplerZ sz(base, 2.0);
   prng::SplitMix64Source rng(12);
-  sz.bind(rng);
+  ScalarBlockSource src(base, rng);
+  SamplerZ sz(src, 2.0);
   constexpr int kDraws = 200000;
   constexpr std::int32_t kLo = -16, kHi = 17;
   const stats::AcceptanceBounds bounds;
@@ -323,8 +331,9 @@ TEST(Verify, WrongKeyRejects) {
   const KeyPair other = keygen(FalconParams::for_degree(64), rng);
   auto& f = fixture();
   cdt::CdtByteScanSampler base(f.table);
-  Signer signer(kp, base);
-  const Signature sig = signer.sign("key confusion", rng);
+  ScalarBlockSource src(base, rng);
+  Signer signer(kp, src);
+  const Signature sig = signer.sign("key confusion");
   Verifier wrong(other.h, other.params);
   EXPECT_FALSE(wrong.verify("key confusion", sig));
 }

@@ -60,9 +60,10 @@ TEST(KeyCodec, SignatureRoundTripAndVerify) {
   const gauss::ProbMatrix m(gauss::GaussianParams::sigma_2(128));
   const cdt::CdtTable t(m);
   cdt::CdtByteScanSampler base(t);
-  Signer signer(key(), base);
   prng::ChaCha20Source rng(7);
-  const Signature sig = signer.sign("wire format", rng);
+  ScalarBlockSource src(base, rng);
+  Signer signer(key(), src);
+  const Signature sig = signer.sign("wire format");
 
   const auto bytes = encode_signature(sig, 64);
   const auto back = decode_signature(bytes, 64);
@@ -81,9 +82,10 @@ TEST(KeyCodec, SignatureSizeIsCompact) {
   const gauss::ProbMatrix m(gauss::GaussianParams::sigma_2(128));
   const cdt::CdtTable t(m);
   cdt::CdtBinarySearchSampler base(t);
-  Signer signer(key(), base);
   prng::ChaCha20Source rng(8);
-  const auto bytes = encode_signature(signer.sign("size", rng), 64);
+  ScalarBlockSource src(base, rng);
+  Signer signer(key(), src);
+  const auto bytes = encode_signature(signer.sign("size"), 64);
   // 64 coefficients with sigma ~ 166: roughly 1.4 bytes/coeff + overheads.
   EXPECT_LT(bytes.size(), 41u + 64u * 2u);
 }
@@ -92,9 +94,10 @@ TEST(KeyCodec, SignatureWrongDegreeRejected) {
   const gauss::ProbMatrix m(gauss::GaussianParams::sigma_2(128));
   const cdt::CdtTable t(m);
   cdt::CdtByteScanSampler base(t);
-  Signer signer(key(), base);
   prng::ChaCha20Source rng(9);
-  const auto bytes = encode_signature(signer.sign("deg", rng), 64);
+  ScalarBlockSource src(base, rng);
+  Signer signer(key(), src);
+  const auto bytes = encode_signature(signer.sign("deg"), 64);
   EXPECT_FALSE(decode_signature(bytes, 128).has_value());
 }
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -19,6 +22,7 @@
 #include "obs/labels.h"
 #include "obs/metric.h"
 #include "obs/registry.h"
+#include "obs/seqlock.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "serial/serial.h"
@@ -299,25 +303,34 @@ TEST(Trace, SlowRingKeepsTheSlowestAndStaysBounded) {
 
 // ------------------------------------------------------ windowed metrics ---
 
-TEST(Windowed, CounterAgesOutOldEpochs) {
+TEST(Windowed, HistogramAgesOutOldEpochs) {
   Registry reg;
   WindowOptions w;
-  w.epoch_us = 1000;  // 1 ms epochs so the test can steer time by hand
+  w.epoch_us = 50'000;  // 50 ms epochs: the test reads at later instants
   w.epochs = 4;
-  WindowedCounter& wc = reg.windowed_counter("cgs_win_reqs_total", w);
+  WindowedHistogram& wh = reg.windowed_histogram("cgs_win_age_us", w);
+  const auto epoch_of = [&w](std::uint64_t us) { return us / w.epoch_us; };
 
-  // Three epochs of traffic at synthetic timestamps.
-  wc.add_at(5, 10'500);   // epoch 10
-  wc.add_at(7, 11'500);   // epoch 11
-  wc.add_at(1, 12'500);   // epoch 12
-  EXPECT_EQ(wc.window_count(12'999), 13u);  // window = epochs 9..12
+  // Batch A (fast) in one epoch, batch B (slow) in a later one.
+  const std::uint64_t a_start = WindowedHistogram::now_us();
+  for (int i = 0; i < 5; ++i) wh.record(100);
+  const std::uint64_t a_end = WindowedHistogram::now_us();
+  while (epoch_of(WindowedHistogram::now_us()) == epoch_of(a_end))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int i = 0; i < 7; ++i) wh.record(9000);
+  const std::uint64_t b_end = WindowedHistogram::now_us();
+  ASSERT_LT(epoch_of(b_end) - epoch_of(a_start), w.epochs);
 
-  // Two epochs later, epoch 10 has aged out (window = 11..14).
-  EXPECT_EQ(wc.window_count(14'500), 8u);
-  // Far in the future everything ages out; the cumulative global keeps all.
-  EXPECT_EQ(wc.window_count(1'000'000), 0u);
-  const double rate = wc.rate_per_s(12'999);
-  EXPECT_NEAR(rate, 13.0 / (4 * 0.001), 1e-6);
+  EXPECT_EQ(wh.window_count(b_end), 12u);
+  // The first instant whose window starts past A's epoch: A has aged out,
+  // B (one epoch or more later) is still inside.
+  const std::uint64_t a_gone = (epoch_of(a_end) + w.epochs) * w.epoch_us;
+  EXPECT_EQ(wh.window_count(a_gone), 7u);
+  EXPECT_GT(wh.window_quantile(0.0, a_gone), 8000.0);  // only B's values
+  // Once B's epoch has left too, the window is empty; the cumulative
+  // global keeps every record.
+  EXPECT_EQ(wh.window_count((epoch_of(b_end) + w.epochs) * w.epoch_us), 0u);
+  EXPECT_EQ(wh.cumulative().count(), 12u);
 }
 
 TEST(Windowed, HistogramWindowQuantilesMatchGlobal) {
@@ -340,16 +353,15 @@ TEST(Windowed, HistogramWindowQuantilesMatchGlobal) {
   EXPECT_TRUE(found);
 }
 
-// The TSan job's target: 8 threads hammer one windowed counter and one
-// windowed histogram through live rotations (tiny epochs force thousands
-// of CAS rotations). The invariant rotation must preserve: the cumulative
-// global loses nothing, and window reads never see the rotation sentinel.
+// The TSan job's target: 8 threads hammer one windowed histogram through
+// live rotations (tiny epochs force thousands of CAS rotations). The
+// invariant rotation must preserve: the cumulative global loses nothing,
+// and window reads never see the rotation sentinel.
 TEST(Windowed, RotationUnderEightThreadHammer) {
   Registry reg;
   WindowOptions w;
   w.epoch_us = 100;  // 0.1 ms epochs -> rotations every few iterations
   w.epochs = 4;
-  WindowedCounter& wc = reg.windowed_counter("cgs_win_hammer_total", w);
   WindowedHistogram& wh = reg.windowed_histogram("cgs_win_hammer_us", w);
 
   constexpr int kThreads = 8;
@@ -359,12 +371,8 @@ TEST(Windowed, RotationUnderEightThreadHammer) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        wc.add(1);
         wh.record(static_cast<std::uint64_t>((t * kPerThread + i) % 512));
-        if (i % 64 == 0) {
-          (void)wc.window_count();
-          (void)wh.window_quantile(0.95);
-        }
+        if (i % 64 == 0) (void)wh.window_quantile(0.95);
       }
     });
   }
@@ -372,18 +380,13 @@ TEST(Windowed, RotationUnderEightThreadHammer) {
 
   constexpr std::uint64_t kTotal =
       static_cast<std::uint64_t>(kThreads) * kPerThread;
-  std::uint64_t global_counter = 0, global_hist = 0;
-  for (const Sample& s : reg.collect()) {
-    if (s.name == "cgs_win_hammer_total" && s.labels.empty())
-      global_counter = static_cast<std::uint64_t>(s.value);
+  std::uint64_t global_hist = 0;
+  for (const Sample& s : reg.collect())
     if (s.name == "cgs_win_hammer_us" && s.labels.empty())
       global_hist = s.count;
-  }
-  EXPECT_EQ(global_counter, kTotal);  // the global never loses a count
-  EXPECT_EQ(global_hist, kTotal);
+  EXPECT_EQ(global_hist, kTotal);  // the global never loses a count
   // Window slices are a subset of history, and reading them mid- or
   // post-hammer must not deadlock or return sentinel garbage.
-  EXPECT_LE(wc.window_count(), kTotal);
   EXPECT_LE(wh.window_count(), kTotal);
 }
 
@@ -519,6 +522,106 @@ TEST(Events, PrometheusExpositionCarriesPerKindCounters) {
   const std::string json = json_text(reg);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
   EXPECT_NE(json.find("torn_tail_recovery"), std::string::npos);
+}
+
+// ------------------------------------------------------------- seqlock ---
+
+TEST(Seqlock, EmptySlotLoadsNothingAndStoresRoundTrip) {
+  struct Record {  // 12 bytes: the last word is partly payload
+    std::uint32_t x;
+    char text[8];
+  };
+  static_assert(sizeof(Record) % sizeof(std::uint64_t) != 0);
+  SeqlockSlot<Record> slot;
+  EXPECT_FALSE(slot.load().has_value());
+  EXPECT_TRUE(slot.try_store(Record{42, "hello"}));
+  EXPECT_TRUE(slot.try_store(Record{43, "world"}));
+  const std::optional<Record> got = slot.load();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->x, 43u);
+  EXPECT_STREQ(got->text, "world");
+}
+
+// The TSan job's target for both seqlock rings: writers emit events and
+// finish traces whose every field derives from one value, while a reader
+// drains snapshot() and slowest(). Every record read must be one writer's
+// whole record, and the lifetime per-kind counts stay exact.
+TEST(Seqlock, ConcurrentRingsReturnSelfConsistentRecords) {
+  Registry reg;
+  EventLog log(8);  // small rings: writers collide and wrap constantly
+  Tracer tracer(reg, TraceOptions{.sample_every = 1, .slow_ring = 4});
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 5000;
+
+  const auto event_ok = [](const Event& e) {
+    return e.seq != 0 && e.b == ~e.a &&
+           e.kind == static_cast<EventKind>(e.a % kNumEventKinds) &&
+           std::to_string(e.a) == e.detail;
+  };
+  // A trace of value v: ids v / v / ~v, class v % 5, stamps v + i*(v % 97
+  // + 1), so its total is 6 * (v % 97 + 1).
+  const auto trace_ok = [](const SlowTrace& st) {
+    const std::uint64_t v = st.trace_id;
+    const std::uint64_t step = v % 97 + 1;
+    bool ok = st.request_id == v && st.tenant == ~v &&
+              st.req_class == static_cast<RequestClass>(v % 5) &&
+              st.total_us == 6 * step;
+    for (std::size_t i = 0; i < kNumStages; ++i)
+      ok = ok && st.stamps[i] == v + i * step;
+    return ok;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad_events{0}, bad_traces{0}, reads{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (const Event& e : log.snapshot())
+        if (!event_ok(e)) bad_events.fetch_add(1);
+      for (const SlowTrace& st : tracer.slowest())
+        if (!trace_ok(st)) bad_traces.fetch_add(1);
+      reads.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        const std::uint64_t v = 1 + w * kPerWriter + i;
+        log.emit(static_cast<EventKind>(v % kNumEventKinds), v, ~v,
+                 std::to_string(v));
+        Trace t;
+        t.active = true;
+        t.trace_id = t.request_id = v;
+        t.tenant = ~v;
+        t.req_class = static_cast<RequestClass>(v % 5);
+        for (std::size_t s = 0; s < kNumStages; ++s)
+          t.stamps[s] = v + s * (v % 97 + 1);
+        tracer.finish(t);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad_events.load(), 0u);
+  EXPECT_EQ(bad_traces.load(), 0u);
+  constexpr std::uint64_t kTotal = kWriters * kPerWriter;
+  EXPECT_EQ(log.total(), kTotal);
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    std::uint64_t expected = 0;  // values 1..kTotal with v % 6 == k
+    for (std::uint64_t v = 1; v <= kTotal; ++v)
+      expected += v % kNumEventKinds == k;
+    EXPECT_EQ(log.count(static_cast<EventKind>(k)), expected) << k;
+  }
+  // Quiescent now: every slot holds a whole record.
+  const std::vector<Event> events = log.snapshot();
+  EXPECT_EQ(events.size(), log.capacity());
+  for (const Event& e : events) EXPECT_TRUE(event_ok(e));
+  const std::vector<SlowTrace> slow = tracer.slowest();
+  EXPECT_EQ(slow.size(), 4u);
+  for (const SlowTrace& st : slow) EXPECT_TRUE(trace_ok(st));
 }
 
 // ------------------------------------------------- trace context & exemplars ---

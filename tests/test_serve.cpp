@@ -342,7 +342,15 @@ TEST(Dispatcher, ServesConcurrentClientsAndFillsBatches) {
   // batch cap of 64 average at least half-full batches.
   EXPECT_LT(m.sign_batches(), futures.size());
   EXPECT_GE(m.sign_occupancy(), 32.0);
-  EXPECT_GT(m.p99_us, 0.0);
+  EXPECT_GT(m.sign_latency.p99_us, 0.0);
+  // Each completion lands in the one class latency series, once; no lane
+  // keeps a copy.
+  EXPECT_EQ(d.obs_registry().histogram("cgs_serve_sign_latency_us").count(),
+            futures.size());
+  for (const obs::Sample& s : d.obs_registry().collect())
+    EXPECT_FALSE(s.name.find("_lane") != std::string::npos &&
+                 s.name.find("_latency_us") != std::string::npos)
+        << s.name;
 }
 
 TEST(Dispatcher, ShutdownDrainsEveryAcceptedFuture) {

@@ -48,7 +48,7 @@ TEST(BlockSource, ScalarShimMatchesDirectDraws) {
   ct::BufferedSampler direct(*synth);
   ct::BufferedSampler shimmed(*synth);
   prng::ChaCha20Source rng1(5), rng2(5);
-  ScalarBlockSource src(shimmed, &rng2);
+  ScalarBlockSource src(shimmed, rng2);
   std::vector<std::int32_t> block(257);
   src.fill_base(block);
   for (std::int32_t v : block) EXPECT_EQ(v, direct.sample(rng1));
