@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,52 @@ void decode_as(serial::TypeTag tag, std::span<const std::uint8_t> frame) {
       // but not wire messages; a mutation steering a frame there gets the
       // same typed rejection a server's router would produce.
       throw serial::SerialError("no wire decoder for this tag");
+  }
+}
+
+// ------------------------------------------------------------ pinning ---
+
+// The corpus's exact bytes, length prefix included: a size and hash64 per
+// frame. Any change to a frame's field order, widths or optional-block
+// rules moves one of these, so a codec refactor that must keep the bytes
+// on the wire proves it here.
+TEST(WireFuzz, CorpusBytesPinned) {
+  struct Pin {
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  constexpr Pin kPins[] = {
+      {70, 0xaa5a2ec570831f48ull},
+      {179, 0xbf9b5819afda67b2ull},
+      {59, 0xf0f5ccc86b2065daull},
+      {79, 0x5fcf9106dd850d32ull},
+      {87, 0xd42c676593df0af2ull},
+      {205, 0xf10978955ac30baaull},
+      {218, 0x34411538f42e09eaull},
+      {229, 0xfd0f4e1b1b6400f6ull},
+      {42, 0x39b0eeb7ee3a34e6ull},
+      {57, 0xbfba756408a9a0aeull},
+      {56, 0x663f5d054feac6c6ull},
+      {65, 0x8a442651c3ba9c4aull},
+      {73, 0x4207272a997aa6aaull},
+      {185, 0x4bf38c555a28030aull},
+      {60, 0x2a531f3d5445d40aull},
+      {41, 0x46c9c4c751baebbaull},
+      {101, 0x349524558847f5acull},
+      {57, 0x92a4493595260c9aull},
+      {40, 0x8ec922fcf1c5e988ull},
+      {151, 0x6c2ee6bb99932e9aull},
+      {57, 0xed1b408954d77fceull},
+      {62, 0x68a9e0703c8f34a6ull},
+      {63, 0x24f411a241151192ull},
+  };
+  prng::SplitMix64Source rng(0xB17E5);
+  const std::vector<Sample> samples = make_samples(rng);
+  ASSERT_EQ(samples.size(), std::size(kPins));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].encoded.size(), kPins[i].size) << "frame " << i;
+    EXPECT_EQ(serial::hash64(samples[i].encoded), kPins[i].hash)
+        << "frame " << i;
   }
 }
 
