@@ -166,8 +166,8 @@ int check_labeled_sums(const std::string& text) {
 int check_health(net::Client& client) {
   serve::HealthRequestFrame req;
   req.request_id = 2;
-  const serve::HealthResponseFrame health =
-      serve::decode_health_response(client.request(serve::encode(req)));
+  const auto health = serve::decode<serve::HealthResponseFrame>(
+      client.request(serve::encode(req)));
   if (!health.ok) {
     std::fprintf(stderr, "cgs_stats: check failed: health error: %s\n",
                  health.error.c_str());
@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
     // request() is the whole scrape: one frame out, one back, with a
     // typed ClientError (connect refusal, deadline, overload shed) on
     // anything but a proper response.
-    const serve::StatsResponseFrame resp =
-        serve::decode_stats_response(client.request(serve::encode(req)));
+    const auto resp = serve::decode<serve::StatsResponseFrame>(
+        client.request(serve::encode(req)));
     if (!resp.ok) {
       std::fprintf(stderr, "cgs_stats: server error: %s\n",
                    resp.error.c_str());

@@ -74,8 +74,8 @@ ClientOutcome run_client(std::uint16_t port, std::size_t degree,
   kg.request_id = 1;
   kg.degree = degree;
   kg.seed = 0xC0FFEE00u + static_cast<std::uint64_t>(client_idx);
-  const serve::KeygenResponseFrame key =
-      serve::decode_keygen_response(client.request(serve::encode(kg)));
+  const auto key = serve::decode<serve::KeygenResponseFrame>(
+      client.request(serve::encode(kg)));
   if (!key.ok) {
     std::fprintf(stderr, "client %d: keygen failed: %s\n", client_idx,
                  key.error.c_str());
@@ -89,8 +89,8 @@ ClientOutcome run_client(std::uint16_t port, std::size_t degree,
   // queued), and a freshly keyed, lightly loaded server must be ready.
   serve::HealthRequestFrame hq;
   hq.request_id = 2;
-  const serve::HealthResponseFrame health =
-      serve::decode_health_response(client.request(serve::encode(hq)));
+  const auto health = serve::decode<serve::HealthResponseFrame>(
+      client.request(serve::encode(hq)));
   outcome.health_ok = health.ok && health.healthy && !health.components.empty();
   if (!outcome.health_ok)
     std::fprintf(stderr, "client %d: health probe not ready (%zu components)\n",
@@ -117,7 +117,7 @@ ClientOutcome run_client(std::uint16_t port, std::size_t degree,
   for (int i = 0; i < requests; ++i) {
     const auto frame = client.read();
     if (!frame) return outcome;
-    const serve::SignResponseFrame resp = serve::decode_sign_response(*frame);
+    const auto resp = serve::decode<serve::SignResponseFrame>(*frame);
     if (!resp.ok) {
       ++outcome.protocol_errors;
       continue;
@@ -149,8 +149,7 @@ ClientOutcome run_client(std::uint16_t port, std::size_t degree,
   }
   client.half_close();
   while (auto frame = client.read()) {
-    const serve::VerifyResponseFrame resp =
-        serve::decode_verify_response(*frame);
+    const auto resp = serve::decode<serve::VerifyResponseFrame>(*frame);
     if (!resp.ok) {
       ++outcome.protocol_errors;
       continue;

@@ -101,10 +101,11 @@ std::optional<DecodedSecretKey> decode_secret_key(
 
 std::vector<std::uint8_t> encode_signature(const Signature& sig,
                                            std::size_t n) {
+  const auto s1 = compress_s1(sig.s1);
   std::vector<std::uint8_t> out;
+  out.reserve(1 + sig.nonce.size() + s1.size());
   out.push_back(static_cast<std::uint8_t>(0x30u | log2_of(n)));
   out.insert(out.end(), sig.nonce.begin(), sig.nonce.end());
-  const auto s1 = compress_s1(sig.s1);
   out.insert(out.end(), s1.begin(), s1.end());
   return out;
 }

@@ -38,6 +38,10 @@ inline constexpr std::uint32_t kMagic = 0x42534743u;
 /// frames are rejected as a version mismatch and simply recomputed).
 inline constexpr std::uint32_t kFormatVersion = 2;
 
+/// Bytes before a frame's payload: magic u32 | version u32 | tag u32 |
+/// payload size u64 | hash64 u64.
+inline constexpr std::size_t kFrameHeaderBytes = 28;
+
 /// Frame type tags (one per serializable artifact).
 enum class TypeTag : std::uint32_t {
   kNetlist = 1,

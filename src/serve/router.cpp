@@ -51,11 +51,6 @@ void CompletionPool::run() {
 
 namespace {
 
-// The shared tail of every request type: reject unadmitted submissions
-// now, otherwise park (token, future) on the pool and answer — success
-// or error — when the future lands. `ok` and `err` encode the response
-// frames; the token travels through std::function via shared_ptr (the
-// pool's tasks must be copyable, the token is move-only).
 // An admission shed on the wire: the same typed kOverloaded frame the
 // transport itself sheds with, not a response-type-specific failure
 // string — one frame kind means "back off", whoever shed it. It names
@@ -71,10 +66,15 @@ std::vector<std::uint8_t> overloaded(std::uint64_t request_id,
   return net::encode_overloaded(shed);
 }
 
-template <typename R, typename Ok, typename Err>
+// The shared tail of every queued request type: reject unadmitted
+// submissions now, otherwise park (token, future) on the pool and answer
+// when the future lands, `ok` encoding a success and the request's own
+// `Response::failure` an error. The token travels through std::function
+// via shared_ptr (the pool's tasks must be copyable, the token is
+// move-only).
+template <typename Response, typename R, typename Ok>
 void settle_async(CompletionPool& pool, net::ResponseToken token,
-                  Submission<R> sub, std::uint64_t request_id, Ok ok,
-                  Err err) {
+                  Submission<R> sub, std::uint64_t request_id, Ok ok) {
   if (!sub.ok()) {
     token.send(
         overloaded(request_id, to_string(sub.status), sub.retry_after_ms));
@@ -82,7 +82,7 @@ void settle_async(CompletionPool& pool, net::ResponseToken token,
   }
   auto tok = std::make_shared<net::ResponseToken>(std::move(token));
   auto fut = std::make_shared<std::future<R>>(std::move(sub.future));
-  pool.post([tok, fut, request_id, ok, err] {
+  pool.post([tok, fut, request_id, ok] {
     try {
       tok->send(ok(request_id, fut->get()));
     } catch (const DeadlineExpired& e) {
@@ -91,33 +91,44 @@ void settle_async(CompletionPool& pool, net::ResponseToken token,
       // deadline itself can move.
       tok->send(overloaded(request_id, e.what(), 0));
     } catch (const std::exception& e) {
-      tok->send(err(request_id, std::string(e.what())));
+      tok->send(encode(Response::failure(request_id, e.what())));
     }
   });
 }
 
-std::vector<std::uint8_t> sign_err(std::uint64_t id, const std::string& e) {
-  return encode(SignResponseFrame::failure(id, e));
-}
-std::vector<std::uint8_t> verify_err(std::uint64_t id, const std::string& e) {
-  return encode(VerifyResponseFrame::failure(id, e));
-}
-std::vector<std::uint8_t> keygen_err(std::uint64_t id, const std::string& e) {
-  return encode(KeygenResponseFrame::failure(id, e));
-}
-
 // Best-effort request id recovery from a frame we could not (or will not)
 // decode. Every request payload leads with `request_id u64 LE` right
-// after the 28-byte serial header, so even a frame whose tail is
-// corrupted usually still names itself — the id only stays 0 when the
-// frame is too short to contain one. Never throws.
+// after the serial header, so even a frame whose tail is corrupted
+// usually still names itself — the id only stays 0 when the frame is too
+// short to contain one. Never throws.
 std::uint64_t readable_request_id(std::span<const std::uint8_t> frame) {
-  constexpr std::size_t kHeader = 28;  // magic|version|tag|size|hash64
+  constexpr std::size_t kHeader = serial::kFrameHeaderBytes;
   if (frame.size() < kHeader + 8) return 0;
   std::uint64_t id = 0;
   for (int i = 7; i >= 0; --i)
     id = (id << 8) | frame[kHeader + static_cast<std::size_t>(i)];
   return id;
+}
+
+// The answer to a frame that failed anywhere between decode and submit:
+// the failure of the request's own response type, found by tag over
+// WireFrames, so the client's current decode phase can parse it. A frame
+// whose header names no request type gets the one frame kind every
+// decode phase accepts: a typed shed.
+std::vector<std::uint8_t> failure_reply(std::span<const std::uint8_t> frame,
+                                        const std::string& error) {
+  const std::uint64_t id = readable_request_id(frame);
+  std::vector<std::uint8_t> resp;
+  try {
+    WireFrames::with_tag(
+        serial::peek_tag(frame), [&]<typename F>(std::type_identity<F>) {
+          if constexpr (requires { typename F::Response; })
+            resp = encode(F::Response::failure(id, error));
+        });
+  } catch (const serial::SerialError&) {
+    // Unreadable header: fall through to the shed.
+  }
+  return resp.empty() ? overloaded(id, error, 0) : resp;
 }
 
 }  // namespace
@@ -127,7 +138,7 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
   try {
     switch (serial::peek_tag(frame)) {
       case serial::TypeTag::kKeygenRequest: {
-        const KeygenRequestFrame req = decode_keygen_request(frame);
+        const auto req = decode<KeygenRequestFrame>(frame);
         KeygenRequest env;
         env.params = falcon::FalconParams::for_degree(
             static_cast<std::size_t>(req.degree));
@@ -135,20 +146,19 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.request_id = req.request_id;
         env.trace_id = req.trace_id;
         env.deadline_us = req.deadline_us;
-        settle_async(
+        settle_async<KeygenResponseFrame>(
             pool, std::move(token), dispatcher.submit(std::move(env)),
-            req.request_id,
-            [](std::uint64_t id, const KeygenResult& r) {
+            req.request_id, [](std::uint64_t id, const KeygenResult& r) {
               return encode(KeygenResponseFrame::success(
                   id, r.key_id, r.public_h, r.params.n));
-            },
-            keygen_err);
+            });
         return;
       }
       case serial::TypeTag::kSignRequest: {
-        SignRequestFrame req = decode_sign_request(frame);
+        auto req = decode<SignRequestFrame>(frame);
         if (dispatcher.key(req.key_id) == nullptr) {
-          token.send(sign_err(req.request_id, "unknown key"));
+          token.send(encode(
+              SignResponseFrame::failure(req.request_id, "unknown key")));
           return;
         }
         SignRequest env;
@@ -157,19 +167,19 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.request_id = req.request_id;
         env.trace_id = req.trace_id;
         env.deadline_us = req.deadline_us;
-        settle_async(
+        settle_async<SignResponseFrame>(
             pool, std::move(token), dispatcher.submit(std::move(env)),
             req.request_id,
             [](std::uint64_t id, const falcon::Signature& sig) {
               return encode(SignResponseFrame::success(id, sig));
-            },
-            sign_err);
+            });
         return;
       }
       case serial::TypeTag::kVerifyRequest: {
-        VerifyRequestFrame req = decode_verify_request(frame);
+        auto req = decode<VerifyRequestFrame>(frame);
         if (dispatcher.key(req.key_id) == nullptr) {
-          token.send(verify_err(req.request_id, "unknown key"));
+          token.send(encode(
+              VerifyResponseFrame::failure(req.request_id, "unknown key")));
           return;
         }
         VerifyRequest env;
@@ -179,18 +189,16 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         env.request_id = req.request_id;
         env.trace_id = req.trace_id;
         env.deadline_us = req.deadline_us;
-        settle_async(
+        settle_async<VerifyResponseFrame>(
             pool, std::move(token), dispatcher.submit(std::move(env)),
-            req.request_id,
-            [](std::uint64_t id, bool accepted) {
+            req.request_id, [](std::uint64_t id, bool accepted) {
               return encode(VerifyResponseFrame::verdict(id, accepted));
-            },
-            verify_err);
+            });
         return;
       }
       case serial::TypeTag::kStatsRequest: {
         // Answered inline on the loop thread: a registry walk is cheap.
-        const StatsRequestFrame req = decode_stats_request(frame);
+        const auto req = decode<StatsRequestFrame>(frame);
         const obs::Registry& registry = dispatcher.obs_registry();
         std::string text = req.format == StatsFormat::kJson
                                ? obs::json_text(registry)
@@ -203,7 +211,7 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         // Answered inline like stats — never queued, so health stays
         // answerable while every dispatch lane is saturated (which is
         // exactly when a load balancer needs the answer).
-        const HealthRequestFrame req = decode_health_request(frame);
+        const auto req = decode<HealthRequestFrame>(frame);
         std::vector<HealthComponentFrame> components;
         for (const HealthComponent& c : dispatcher.health()) {
           HealthComponentFrame f;
@@ -231,44 +239,16 @@ void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
         return;
       }
       default:
-        // A well-formed frame whose tag is simply not a request (a
-        // response tag, say). Pretending it was a verify that failed
-        // made the client's sign/keygen decode phase choke on a
-        // VerifyResponse for id 0 — answer with the one frame kind every
-        // decode phase accepts, naming the id the frame itself carries.
-        token.send(overloaded(readable_request_id(frame),
-                              "unsupported request type", 0));
-        return;
+        // A well-formed frame whose tag is not a request (a response
+        // tag, say): failure_reply answers it with the typed shed.
+        throw serial::SerialError("unsupported request type");
     }
   } catch (const std::exception& e) {
-    // Undecodable frame: still answer (the transport owes one response
-    // per delivered frame) with an error of the response type matching
-    // the request's tag where readable, so the client's current decode
-    // phase can always parse it. The id is recovered best-effort from
-    // the frame prefix — a torn tail should not anonymize the response
-    // and wedge a pipelining client waiting on that id.
-    if (!token.valid()) return;
-    const std::uint64_t id = readable_request_id(frame);
-    std::vector<std::uint8_t> resp;
-    try {
-      switch (serial::peek_tag(frame)) {
-        case serial::TypeTag::kKeygenRequest:
-          resp = keygen_err(id, e.what());
-          break;
-        case serial::TypeTag::kSignRequest:
-          resp = sign_err(id, e.what());
-          break;
-        case serial::TypeTag::kHealthRequest:
-          resp = encode(HealthResponseFrame::failure(id, e.what()));
-          break;
-        default:
-          resp = verify_err(id, e.what());
-          break;
-      }
-    } catch (const std::exception&) {
-      resp = verify_err(id, e.what());
-    }
-    token.send(std::move(resp));
+    // Undecodable frame: still answer, since the transport owes one
+    // response per delivered frame. The id is recovered best-effort from
+    // the frame prefix: a torn tail should not anonymize the response and
+    // wedge a pipelining client waiting on that id.
+    if (token.valid()) token.send(failure_reply(frame, e.what()));
   }
 }
 

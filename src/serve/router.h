@@ -3,11 +3,11 @@
 // binary (examples/protocol_server, servebench): one switch that
 // decodes a request frame by tag, builds the matching typed Dispatcher
 // envelope, submits it, and settles the net::ResponseToken when the
-// future lands. Admission failures (kQueueFull / kShutdown) and
-// undecodable frames answer immediately with the matching error response
-// type — the token is settled on every path, so the transport's reply-
-// debt accounting (and its drain-true shutdown) holds no matter what the
-// application layer does.
+// future lands. Admission failures (kQueueFull / kShutdown) answer
+// immediately with a typed kOverloaded shed, undecodable requests with
+// the failure of their own response type — the token is settled on every
+// path, so the transport's reply-debt accounting (and its drain-true
+// shutdown) holds no matter what the application layer does.
 //
 // Completion runs off the event loop: route_frame() hands the future +
 // token pair to a CompletionPool, whose workers block on future.get()
@@ -55,10 +55,11 @@ class CompletionPool {
 };
 
 /// One frame in, one settled token out: decode by tag, submit the typed
-/// envelope to its lane, let `pool` answer when the future lands. Every
-/// failure mode (unknown key, queue full, undecodable payload,
-/// unsupported tag) answers with the error response of the matching
-/// type; the token never escapes unsettled.
+/// envelope to its lane, let `pool` answer when the future lands. An
+/// unknown key or an undecodable request answers with the failure of the
+/// request's own response type; an admission shed, a lapsed deadline or a
+/// frame that is no request answers with a typed kOverloaded shed. The
+/// token never escapes unsettled.
 void route_frame(Dispatcher& dispatcher, CompletionPool& pool,
                  net::ResponseToken token, std::vector<std::uint8_t> frame);
 

@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <bit>
 #include <cstring>
 
 #include "falcon/codec.h"
@@ -9,77 +10,216 @@ namespace cgs::serve {
 
 namespace {
 
-using net::length_prefixed;
+// The two directions of the codec. Each frame's fields() runs over one
+// of them: Enc appends every field to a serial::Writer, Dec reads it back
+// from a serial::Reader into the frame. Enc sees the frame const, so a
+// field list cannot write through it; checks are no-ops on Enc, which
+// writes whatever the frame holds.
+struct Enc {
+  static constexpr bool kEncoding = true;
+  serial::Writer w;
 
-// Shared field helpers for the frames that carry a signature: 40-byte
-// nonce + u64-length-prefixed compressed s1.
-void write_signature_fields(serial::Writer& w, std::uint64_t degree,
-                            const std::array<std::uint8_t, 40>& nonce,
-                            const std::vector<std::uint8_t>& s1_compressed) {
-  w.u64(degree);
-  w.bytes(std::span(nonce.data(), nonce.size()));
-  w.u64(s1_compressed.size());
-  w.bytes(s1_compressed);
+  template <typename T>
+  void u8(T v) { w.u8(static_cast<std::uint8_t>(v)); }
+  template <typename T>
+  void u16(T v) { w.u16(static_cast<std::uint16_t>(v)); }
+  void u32(std::uint32_t v) { w.u32(v); }
+  void u64(std::uint64_t v) { w.u64(v); }
+  void boolean(bool v) { w.boolean(v); }
+  void f64(double v) { w.u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& v) { w.str(v); }
+  template <std::size_t N>
+  void raw(const std::array<std::uint8_t, N>& v) { w.bytes(v); }
+  /// u64 length | bytes.
+  void blob(const std::vector<std::uint8_t>& v) {
+    w.u64(v.size());
+    w.bytes(v);
+  }
+  /// The elements of `v`, each by `fn`; the count is written elsewhere.
+  template <typename V, typename Fn>
+  void each(const V& v, std::uint64_t, std::size_t, Fn fn) {
+    for (const auto& x : v) fn(x);
+  }
+  /// An optional trailing block: present when the frame sets it.
+  bool trailing(bool set) const { return set; }
+  void check(bool, const char*) const {}
+};
+
+struct Dec {
+  static constexpr bool kEncoding = false;
+  serial::Reader r;
+
+  template <typename T>
+  void u8(T& v) { v = static_cast<T>(r.u8()); }
+  template <typename T>
+  void u16(T& v) { v = static_cast<T>(r.u16()); }
+  void u32(std::uint32_t& v) { v = r.u32(); }
+  void u64(std::uint64_t& v) { v = r.u64(); }
+  void boolean(bool& v) { v = r.boolean(); }
+  void f64(double& v) { v = std::bit_cast<double>(r.u64()); }
+  void str(std::string& v) { v = r.str(); }
+  template <std::size_t N>
+  void raw(std::array<std::uint8_t, N>& v) {
+    std::memcpy(v.data(), r.bytes(N).data(), N);
+  }
+  void blob(std::vector<std::uint8_t>& v) {
+    const std::uint64_t len = r.u64();
+    check(len <= r.remaining(), "length overruns payload");
+    const auto bytes = r.bytes(static_cast<std::size_t>(len));
+    v.assign(bytes.begin(), bytes.end());
+  }
+  /// `n` elements of at least `min_bytes` each: a count the remaining
+  /// payload cannot hold is rejected before anything is allocated.
+  template <typename V, typename Fn>
+  void each(V& v, std::uint64_t n, std::size_t min_bytes, Fn fn) {
+    check(n <= r.remaining() / min_bytes, "element count overruns payload");
+    v.resize(static_cast<std::size_t>(n));
+    for (auto& x : v) fn(x);
+  }
+  /// An optional trailing block: present when payload bytes remain.
+  bool trailing(bool) const { return r.remaining() != 0; }
+  void check(bool ok, const char* what) const {
+    if (!ok) throw serial::SerialError(std::string("wire: ") + what);
+  }
+};
+
+// A frame as `Io` sees it: const to the encoder, mutable to the decoder.
+template <typename Io, typename F>
+using Ref = std::conditional_t<Io::kEncoding, const F&, F&>;
+
+// ------------------------------------------------------ shared pieces ---
+
+template <typename Io>
+void degree(Io& io, Ref<Io, std::uint64_t> n) {
+  io.u64(n);
+  io.check(n != 0 && n <= (1u << 14), "degree out of range");
 }
 
-void read_signature_fields(serial::Reader& r, std::uint64_t& degree,
-                           std::array<std::uint8_t, 40>& nonce,
-                           std::vector<std::uint8_t>& s1_compressed,
-                           const char* what) {
-  degree = r.u64();
-  if (degree == 0 || degree > (1u << 14))
-    throw serial::SerialError(std::string(what) + " degree out of range");
-  const auto nonce_bytes = r.bytes(nonce.size());
-  std::memcpy(nonce.data(), nonce_bytes.data(), nonce.size());
-  const std::uint64_t len = r.u64();
-  if (len > r.remaining())
-    throw serial::SerialError(std::string(what) +
-                              " s1 length overruns payload");
-  const auto s1 = r.bytes(static_cast<std::size_t>(len));
-  s1_compressed.assign(s1.begin(), s1.end());
+// A signature: degree | 40-byte nonce | u64-length-prefixed compressed s1.
+template <typename Io, typename F>
+void signature_fields(Io& io, F& f) {
+  degree(io, f.degree);
+  io.raw(f.nonce);
+  io.blob(f.s1_compressed);
 }
 
-// Optional trailing request-context block on request frames (see the
-// header comment): v1 carries the trace id, v2 adds the deadline budget.
-// Encoders emit the oldest version that holds the fields actually set —
-// absent when both are zero — so the bytes match what a pre-context (or
-// pre-deadline) peer would have produced whenever the newer fields are
-// unused. The decoder accepts absence and both known versions, nothing
-// else: a future ctx_version is a typed decode error, not silent
-// misparsing.
+// Optional trailing request-context block (see the header comment): v1
+// carries the trace id, v2 adds the deadline budget. The encoder emits
+// the oldest version that holds the fields actually set, absent when
+// both are zero; the decoder accepts absence and both known versions,
+// nothing else.
 constexpr std::uint8_t kTraceCtxVersion = 1;
 constexpr std::uint8_t kDeadlineCtxVersion = 2;
 
-struct RequestCtx {
-  std::uint64_t trace_id = 0;
-  std::uint64_t deadline_us = 0;
-};
-
-void write_request_ctx(serial::Writer& w, const RequestCtx& ctx) {
-  if (ctx.deadline_us != 0) {
-    w.u8(kDeadlineCtxVersion);
-    w.u64(ctx.trace_id);
-    w.u64(ctx.deadline_us);
-  } else if (ctx.trace_id != 0) {
-    w.u8(kTraceCtxVersion);
-    w.u64(ctx.trace_id);
-  }
+template <typename Io, typename F>
+void request_ctx(Io& io, F& f) {
+  if (!io.trailing(f.trace_id != 0 || f.deadline_us != 0)) return;
+  std::uint8_t version =
+      f.deadline_us != 0 ? kDeadlineCtxVersion : kTraceCtxVersion;
+  io.u8(version);
+  io.check(version == kTraceCtxVersion || version == kDeadlineCtxVersion,
+           "unknown request context version");
+  io.u64(f.trace_id);
+  if (version == kDeadlineCtxVersion) io.u64(f.deadline_us);
 }
 
-RequestCtx read_request_ctx(serial::Reader& r, const char* what) {
-  RequestCtx ctx;
-  if (r.remaining() == 0) return ctx;  // pre-context peer: no block
-  const std::uint8_t version = r.u8();
-  if (version == kTraceCtxVersion) {
-    ctx.trace_id = r.u64();
-  } else if (version == kDeadlineCtxVersion) {
-    ctx.trace_id = r.u64();
-    ctx.deadline_us = r.u64();
-  } else {
-    throw serial::SerialError(std::string(what) +
-                              " unknown request context version");
-  }
-  return ctx;
+// request_id | ok | error string when !ok. True when the frame's own
+// fields follow.
+template <typename Io, typename F>
+bool response_head(Io& io, F& f) {
+  io.u64(f.request_id);
+  io.boolean(f.ok);
+  if (!f.ok) io.str(f.error);
+  return f.ok;
+}
+
+// -------------------------------------------------------- the frames ---
+
+template <typename Io>
+void fields(Io& io, Ref<Io, SignRequestFrame> f) {
+  io.u64(f.request_id);
+  io.u64(f.key_id);
+  io.str(f.message);
+  request_ctx(io, f);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, SignResponseFrame> f) {
+  if (response_head(io, f)) signature_fields(io, f);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, VerifyRequestFrame> f) {
+  io.u64(f.request_id);
+  io.u64(f.key_id);
+  io.str(f.message);
+  signature_fields(io, f);
+  request_ctx(io, f);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, VerifyResponseFrame> f) {
+  if (response_head(io, f)) io.boolean(f.accepted);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, KeygenRequestFrame> f) {
+  io.u64(f.request_id);
+  degree(io, f.degree);
+  io.u64(f.seed);
+  request_ctx(io, f);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, KeygenResponseFrame> f) {
+  if (!response_head(io, f)) return;
+  io.u64(f.key_id);
+  degree(io, f.degree);
+  // h lives in [0, q) with q = 12289 < 2^16: `degree` u16 values that end
+  // the payload.
+  io.each(f.h, f.degree, 2, [&io](auto& v) {
+    io.u16(v);
+    io.check(v < falcon::kQ, "public key coefficient out of range");
+  });
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, StatsRequestFrame> f) {
+  io.u64(f.request_id);
+  io.u8(f.format);
+  io.check(f.format <= StatsFormat::kJson, "unknown stats format");
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, StatsResponseFrame> f) {
+  if (!response_head(io, f)) return;
+  io.u8(f.format);
+  io.check(f.format <= StatsFormat::kJson, "unknown stats format");
+  io.str(f.text);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, HealthRequestFrame> f) {
+  io.u64(f.request_id);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, HealthComponentFrame> c) {
+  io.str(c.name);
+  io.boolean(c.ok);
+  io.f64(c.value);
+  io.str(c.detail);
+}
+
+template <typename Io>
+void fields(Io& io, Ref<Io, HealthResponseFrame> f) {
+  if (!response_head(io, f)) return;
+  io.boolean(f.healthy);
+  std::uint32_t count = static_cast<std::uint32_t>(f.components.size());
+  io.u32(count);
+  // A component takes at least 25 bytes (two u64 string lengths, a bool
+  // and the f64), so no count above remaining / 18 can fit.
+  io.each(f.components, count, 18, [&io](auto& c) { fields(io, c); });
 }
 
 falcon::Signature signature_from_fields(
@@ -98,30 +238,36 @@ falcon::Signature signature_from_fields(
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const SignRequestFrame& req) {
-  serial::Writer w;
-  w.u64(req.request_id);
-  w.u64(req.key_id);
-  w.str(req.message);
-  write_request_ctx(w, {req.trace_id, req.deadline_us});
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kSignRequest, w.take()));
+template <WireFrame F>
+std::vector<std::uint8_t> encode(const F& frame) {
+  Enc io;
+  fields(io, frame);
+  return net::length_prefixed(serial::wrap(F::kTag, io.w.take()));
 }
 
-SignRequestFrame decode_sign_request(std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kSignRequest);
-  serial::Reader r(payload);
-  SignRequestFrame req;
-  req.request_id = r.u64();
-  req.key_id = r.u64();
-  req.message = r.str();
-  const RequestCtx ctx = read_request_ctx(r, "sign request");
-  req.trace_id = ctx.trace_id;
-  req.deadline_us = ctx.deadline_us;
-  r.finish();
-  return req;
+template <WireFrame F>
+F decode(std::span<const std::uint8_t> frame) {
+  Dec io{serial::Reader(serial::unwrap(frame, F::kTag))};
+  F out;
+  fields(io, out);
+  io.r.finish();
+  return out;
 }
+
+#define CGS_WIRE_CODEC(F)                                  \
+  template std::vector<std::uint8_t> encode<F>(const F&); \
+  template F decode<F>(std::span<const std::uint8_t>)
+CGS_WIRE_CODEC(SignRequestFrame);
+CGS_WIRE_CODEC(SignResponseFrame);
+CGS_WIRE_CODEC(VerifyRequestFrame);
+CGS_WIRE_CODEC(VerifyResponseFrame);
+CGS_WIRE_CODEC(KeygenRequestFrame);
+CGS_WIRE_CODEC(KeygenResponseFrame);
+CGS_WIRE_CODEC(StatsRequestFrame);
+CGS_WIRE_CODEC(StatsResponseFrame);
+CGS_WIRE_CODEC(HealthRequestFrame);
+CGS_WIRE_CODEC(HealthResponseFrame);
+#undef CGS_WIRE_CODEC
 
 SignResponseFrame SignResponseFrame::success(std::uint64_t request_id,
                                              const falcon::Signature& sig) {
@@ -134,49 +280,11 @@ SignResponseFrame SignResponseFrame::success(std::uint64_t request_id,
   return resp;
 }
 
-SignResponseFrame SignResponseFrame::failure(std::uint64_t request_id,
-                                             std::string error) {
-  SignResponseFrame resp;
-  resp.request_id = request_id;
-  resp.error = std::move(error);
-  return resp;
-}
-
 falcon::Signature SignResponseFrame::to_signature() const {
   if (!ok)
     throw serial::SerialError("sign response is an error frame: " + error);
   return signature_from_fields(degree, nonce, s1_compressed,
                                "sign response");
-}
-
-std::vector<std::uint8_t> encode(const SignResponseFrame& resp) {
-  serial::Writer w;
-  w.u64(resp.request_id);
-  w.boolean(resp.ok);
-  if (resp.ok) {
-    write_signature_fields(w, resp.degree, resp.nonce, resp.s1_compressed);
-  } else {
-    w.str(resp.error);
-  }
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kSignResponse, w.take()));
-}
-
-SignResponseFrame decode_sign_response(std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kSignResponse);
-  serial::Reader r(payload);
-  SignResponseFrame resp;
-  resp.request_id = r.u64();
-  resp.ok = r.boolean();
-  if (resp.ok) {
-    read_signature_fields(r, resp.degree, resp.nonce, resp.s1_compressed,
-                          "sign response");
-  } else {
-    resp.error = r.str();
-  }
-  r.finish();
-  return resp;
 }
 
 VerifyRequestFrame VerifyRequestFrame::make(std::uint64_t request_id,
@@ -198,35 +306,6 @@ falcon::Signature VerifyRequestFrame::to_signature() const {
                                "verify request");
 }
 
-std::vector<std::uint8_t> encode(const VerifyRequestFrame& req) {
-  serial::Writer w;
-  w.u64(req.request_id);
-  w.u64(req.key_id);
-  w.str(req.message);
-  write_signature_fields(w, req.degree, req.nonce, req.s1_compressed);
-  write_request_ctx(w, {req.trace_id, req.deadline_us});
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kVerifyRequest, w.take()));
-}
-
-VerifyRequestFrame decode_verify_request(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kVerifyRequest);
-  serial::Reader r(payload);
-  VerifyRequestFrame req;
-  req.request_id = r.u64();
-  req.key_id = r.u64();
-  req.message = r.str();
-  read_signature_fields(r, req.degree, req.nonce, req.s1_compressed,
-                        "verify request");
-  const RequestCtx ctx = read_request_ctx(r, "verify request");
-  req.trace_id = ctx.trace_id;
-  req.deadline_us = ctx.deadline_us;
-  r.finish();
-  return req;
-}
-
 VerifyResponseFrame VerifyResponseFrame::verdict(std::uint64_t request_id,
                                                  bool accepted) {
   VerifyResponseFrame resp;
@@ -234,72 +313,6 @@ VerifyResponseFrame VerifyResponseFrame::verdict(std::uint64_t request_id,
   resp.ok = true;
   resp.accepted = accepted;
   return resp;
-}
-
-VerifyResponseFrame VerifyResponseFrame::failure(std::uint64_t request_id,
-                                                 std::string error) {
-  VerifyResponseFrame resp;
-  resp.request_id = request_id;
-  resp.error = std::move(error);
-  return resp;
-}
-
-std::vector<std::uint8_t> encode(const VerifyResponseFrame& resp) {
-  serial::Writer w;
-  w.u64(resp.request_id);
-  w.boolean(resp.ok);
-  if (resp.ok) {
-    w.boolean(resp.accepted);
-  } else {
-    w.str(resp.error);
-  }
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kVerifyResponse, w.take()));
-}
-
-VerifyResponseFrame decode_verify_response(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kVerifyResponse);
-  serial::Reader r(payload);
-  VerifyResponseFrame resp;
-  resp.request_id = r.u64();
-  resp.ok = r.boolean();
-  if (resp.ok) {
-    resp.accepted = r.boolean();
-  } else {
-    resp.error = r.str();
-  }
-  r.finish();
-  return resp;
-}
-
-std::vector<std::uint8_t> encode(const KeygenRequestFrame& req) {
-  serial::Writer w;
-  w.u64(req.request_id);
-  w.u64(req.degree);
-  w.u64(req.seed);
-  write_request_ctx(w, {req.trace_id, req.deadline_us});
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kKeygenRequest, w.take()));
-}
-
-KeygenRequestFrame decode_keygen_request(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kKeygenRequest);
-  serial::Reader r(payload);
-  KeygenRequestFrame req;
-  req.request_id = r.u64();
-  req.degree = r.u64();
-  if (req.degree == 0 || req.degree > (1u << 14))
-    throw serial::SerialError("keygen request degree out of range");
-  req.seed = r.u64();
-  const RequestCtx ctx = read_request_ctx(r, "keygen request");
-  req.trace_id = ctx.trace_id;
-  req.deadline_us = ctx.deadline_us;
-  r.finish();
-  return req;
 }
 
 KeygenResponseFrame KeygenResponseFrame::success(
@@ -314,92 +327,6 @@ KeygenResponseFrame KeygenResponseFrame::success(
   return resp;
 }
 
-KeygenResponseFrame KeygenResponseFrame::failure(std::uint64_t request_id,
-                                                 std::string error) {
-  KeygenResponseFrame resp;
-  resp.request_id = request_id;
-  resp.error = std::move(error);
-  return resp;
-}
-
-std::vector<std::uint8_t> encode(const KeygenResponseFrame& resp) {
-  serial::Writer w;
-  w.u64(resp.request_id);
-  w.boolean(resp.ok);
-  if (resp.ok) {
-    CGS_CHECK_MSG(resp.h.size() == resp.degree,
-                  "keygen response public key length mismatch");
-    w.u64(resp.key_id);
-    w.u64(resp.degree);
-    // h lives in [0, q) with q = 12289 < 2^16: two bytes per coefficient.
-    for (std::uint32_t v : resp.h) w.u16(static_cast<std::uint16_t>(v));
-  } else {
-    w.str(resp.error);
-  }
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kKeygenResponse, w.take()));
-}
-
-KeygenResponseFrame decode_keygen_response(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kKeygenResponse);
-  serial::Reader r(payload);
-  KeygenResponseFrame resp;
-  resp.request_id = r.u64();
-  resp.ok = r.boolean();
-  if (resp.ok) {
-    resp.key_id = r.u64();
-    resp.degree = r.u64();
-    if (resp.degree == 0 || resp.degree > (1u << 14))
-      throw serial::SerialError("keygen response degree out of range");
-    if (r.remaining() != 2 * resp.degree)
-      throw serial::SerialError(
-          "keygen response public key length mismatch");
-    resp.h.reserve(static_cast<std::size_t>(resp.degree));
-    for (std::uint64_t i = 0; i < resp.degree; ++i) {
-      const std::uint16_t v = r.u16();
-      if (v >= falcon::kQ)
-        throw serial::SerialError(
-            "keygen response public key coefficient out of range");
-      resp.h.push_back(v);
-    }
-  } else {
-    resp.error = r.str();
-  }
-  r.finish();
-  return resp;
-}
-
-namespace {
-
-StatsFormat stats_format_from(std::uint8_t v, const char* what) {
-  if (v > static_cast<std::uint8_t>(StatsFormat::kJson))
-    throw serial::SerialError(std::string(what) + " unknown stats format");
-  return static_cast<StatsFormat>(v);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode(const StatsRequestFrame& req) {
-  serial::Writer w;
-  w.u64(req.request_id);
-  w.u8(static_cast<std::uint8_t>(req.format));
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kStatsRequest, w.take()));
-}
-
-StatsRequestFrame decode_stats_request(std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kStatsRequest);
-  serial::Reader r(payload);
-  StatsRequestFrame req;
-  req.request_id = r.u64();
-  req.format = stats_format_from(r.u8(), "stats request");
-  r.finish();
-  return req;
-}
-
 StatsResponseFrame StatsResponseFrame::success(std::uint64_t request_id,
                                                StatsFormat format,
                                                std::string text) {
@@ -408,46 +335,6 @@ StatsResponseFrame StatsResponseFrame::success(std::uint64_t request_id,
   resp.ok = true;
   resp.format = format;
   resp.text = std::move(text);
-  return resp;
-}
-
-StatsResponseFrame StatsResponseFrame::failure(std::uint64_t request_id,
-                                               std::string error) {
-  StatsResponseFrame resp;
-  resp.request_id = request_id;
-  resp.error = std::move(error);
-  return resp;
-}
-
-std::vector<std::uint8_t> encode(const StatsResponseFrame& resp) {
-  serial::Writer w;
-  w.u64(resp.request_id);
-  w.boolean(resp.ok);
-  if (resp.ok) {
-    w.u8(static_cast<std::uint8_t>(resp.format));
-    w.str(resp.text);
-  } else {
-    w.str(resp.error);
-  }
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kStatsResponse, w.take()));
-}
-
-StatsResponseFrame decode_stats_response(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kStatsResponse);
-  serial::Reader r(payload);
-  StatsResponseFrame resp;
-  resp.request_id = r.u64();
-  resp.ok = r.boolean();
-  if (resp.ok) {
-    resp.format = stats_format_from(r.u8(), "stats response");
-    resp.text = r.str();
-  } else {
-    resp.error = r.str();
-  }
-  r.finish();
   return resp;
 }
 
@@ -460,85 +347,6 @@ HealthResponseFrame HealthResponseFrame::success(
   for (const HealthComponentFrame& c : components)
     resp.healthy = resp.healthy && c.ok;
   resp.components = std::move(components);
-  return resp;
-}
-
-HealthResponseFrame HealthResponseFrame::failure(std::uint64_t request_id,
-                                                 std::string error) {
-  HealthResponseFrame resp;
-  resp.request_id = request_id;
-  resp.error = std::move(error);
-  return resp;
-}
-
-std::vector<std::uint8_t> encode(const HealthRequestFrame& req) {
-  serial::Writer w;
-  w.u64(req.request_id);
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kHealthRequest, w.take()));
-}
-
-HealthRequestFrame decode_health_request(std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kHealthRequest);
-  serial::Reader r(payload);
-  HealthRequestFrame req;
-  req.request_id = r.u64();
-  r.finish();
-  return req;
-}
-
-std::vector<std::uint8_t> encode(const HealthResponseFrame& resp) {
-  serial::Writer w;
-  w.u64(resp.request_id);
-  w.boolean(resp.ok);
-  if (resp.ok) {
-    w.boolean(resp.healthy);
-    w.u32(static_cast<std::uint32_t>(resp.components.size()));
-    for (const HealthComponentFrame& c : resp.components) {
-      w.str(c.name);
-      w.boolean(c.ok);
-      const double v = c.value;
-      w.f64_bits(std::span(&v, 1));
-      w.str(c.detail);
-    }
-  } else {
-    w.str(resp.error);
-  }
-  return length_prefixed(
-      serial::wrap(serial::TypeTag::kHealthResponse, w.take()));
-}
-
-HealthResponseFrame decode_health_response(
-    std::span<const std::uint8_t> frame) {
-  const auto payload =
-      serial::unwrap(frame, serial::TypeTag::kHealthResponse);
-  serial::Reader r(payload);
-  HealthResponseFrame resp;
-  resp.request_id = r.u64();
-  resp.ok = r.boolean();
-  if (resp.ok) {
-    resp.healthy = r.boolean();
-    const std::uint32_t count = r.u32();
-    // Each component is at least 18 bytes (two u64 string lengths, a bool
-    // and the f64): reject a count the remaining payload cannot hold
-    // before reserving anything.
-    if (count > r.remaining() / 18)
-      throw serial::SerialError(
-          "health response component count overruns payload");
-    resp.components.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      HealthComponentFrame c;
-      c.name = r.str();
-      c.ok = r.boolean();
-      c.value = r.f64_bits(1).front();
-      c.detail = r.str();
-      resp.components.push_back(std::move(c));
-    }
-  } else {
-    resp.error = r.str();
-  }
-  r.finish();
   return resp;
 }
 

@@ -3,36 +3,23 @@
 // a byte stream. Each message is
 //
 //   u32 LE total frame length | serial frame (magic CGSB | version | tag |
-//   payload size | FNV-1a-64 checksum | payload)
+//   payload size | hash64 checksum | payload)
 //
 // so a stream reader knows exactly how many bytes to pull before handing
 // the blob to serial::unwrap, which then rejects foreign, version-skewed
-// or corrupted messages before a single payload byte is parsed. Payloads
-// are encoded with the serial Reader/Writer like every other artifact:
+// or corrupted messages before a single payload byte is parsed.
 //
-//   kSignRequest:    request_id u64 | key_id u64 | message str
-//   kSignResponse:   request_id u64 | ok bool | on ok: degree u64, nonce
-//                    40 bytes, compressed s1 (length-prefixed); else: error
-//                    string
-//   kVerifyRequest:  request_id u64 | key_id u64 | message str | degree
-//                    u64 | nonce 40 bytes | compressed s1 (length-prefixed)
-//   kVerifyResponse: request_id u64 | ok bool | on ok: accepted bool;
-//                    else: error string
-//   kKeygenRequest:  request_id u64 | degree u64 | seed u64
-//   kKeygenResponse: request_id u64 | ok bool | on ok: key_id u64, degree
-//                    u64, public h as degree u16 values; else: error string
-//   kStatsRequest:   request_id u64 | format u8 (0 = Prometheus text,
-//                    1 = JSON)
-//   kStatsResponse:  request_id u64 | ok bool | on ok: format u8,
-//                    exposition text str; else: error string
-//   kHealthRequest:  request_id u64
-//   kHealthResponse: request_id u64 | ok bool | on ok: healthy bool,
-//                    component count u32, per component: name str | ok
-//                    bool | value f64 bits | detail str; else: error string
+// Each frame's payload layout is written once, as its `fields()` in
+// wire.cpp: one field list that the encoder runs over serial::Writer and
+// the decoder runs over serial::Reader. Every response leads with
+// `request_id u64 | ok bool`, followed by the error string when !ok and
+// by the frame's own fields otherwise. Checks (degree range, lengths
+// against the remaining payload, known enum values, h < q) run on decode
+// only; the encoder writes what the frame holds.
 //
 // Request context (wire revisions 1 and 2 of this protocol, serial format
 // version unchanged): kSignRequest, kVerifyRequest and kKeygenRequest may
-// carry an OPTIONAL trailing block after the fields above —
+// carry an OPTIONAL trailing block after their other fields —
 //
 //   ctx_version 1:  u8 (= 1) | trace_id u64
 //   ctx_version 2:  u8 (= 2) | trace_id u64 | deadline_us u64
@@ -58,14 +45,18 @@
 // same encoding a Falcon signature ships with anywhere else.
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "falcon/sign.h"
 #include "net/framing.h"
+#include "serial/serial.h"
 
 namespace cgs::serve {
 
@@ -75,7 +66,32 @@ namespace cgs::serve {
 /// net/framing.h; this is its cap.)
 inline constexpr std::uint32_t kMaxWireMessage = net::kMaxFrameBytes;
 
+struct SignResponseFrame;
+struct VerifyResponseFrame;
+struct KeygenResponseFrame;
+struct StatsResponseFrame;
+struct HealthResponseFrame;
+
+/// The fields every response type leads with, and the failure each one
+/// answers an error with.
+template <typename R>
+struct ResponseHead {
+  std::uint64_t request_id = 0;
+  bool ok = false;
+  std::string error;  // set when !ok
+
+  static R failure(std::uint64_t request_id, std::string error) {
+    R resp;
+    resp.request_id = request_id;
+    resp.error = std::move(error);
+    return resp;
+  }
+};
+
 struct SignRequestFrame {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kSignRequest;
+  using Response = SignResponseFrame;
+
   std::uint64_t request_id = 0;
   std::uint64_t key_id = 0;  // falcon::key_fingerprint of a registered key
   std::string message;
@@ -87,18 +103,15 @@ struct SignRequestFrame {
   std::uint64_t deadline_us = 0;
 };
 
-struct SignResponseFrame {
-  std::uint64_t request_id = 0;
-  bool ok = false;
-  std::string error;  // set when !ok
+struct SignResponseFrame : ResponseHead<SignResponseFrame> {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kSignResponse;
+
   std::uint64_t degree = 0;
   std::array<std::uint8_t, 40> nonce{};
   std::vector<std::uint8_t> s1_compressed;
 
   static SignResponseFrame success(std::uint64_t request_id,
                                    const falcon::Signature& sig);
-  static SignResponseFrame failure(std::uint64_t request_id,
-                                   std::string error);
 
   /// Decompress back into a Signature; throws serial::SerialError when the
   /// response is an error frame or the compressed s1 is malformed.
@@ -106,6 +119,9 @@ struct SignResponseFrame {
 };
 
 struct VerifyRequestFrame {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kVerifyRequest;
+  using Response = VerifyResponseFrame;
+
   std::uint64_t request_id = 0;
   std::uint64_t key_id = 0;  // the key the signature claims to be under
   std::string message;
@@ -124,18 +140,18 @@ struct VerifyRequestFrame {
   falcon::Signature to_signature() const;
 };
 
-struct VerifyResponseFrame {
-  std::uint64_t request_id = 0;
-  bool ok = false;       // the request was processed (verdict below)
-  bool accepted = false; // the verdict: signature verifies under the key
-  std::string error;     // set when !ok
+struct VerifyResponseFrame : ResponseHead<VerifyResponseFrame> {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kVerifyResponse;
+
+  bool accepted = false;  // the verdict: signature verifies under the key
 
   static VerifyResponseFrame verdict(std::uint64_t request_id, bool accepted);
-  static VerifyResponseFrame failure(std::uint64_t request_id,
-                                     std::string error);
 };
 
 struct KeygenRequestFrame {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kKeygenRequest;
+  using Response = KeygenResponseFrame;
+
   std::uint64_t request_id = 0;
   std::uint64_t degree = 0;
   std::uint64_t seed = 0;  // keygen entropy: deterministic per seed
@@ -143,10 +159,9 @@ struct KeygenRequestFrame {
   std::uint64_t deadline_us = 0;  // optional latency budget (header note)
 };
 
-struct KeygenResponseFrame {
-  std::uint64_t request_id = 0;
-  bool ok = false;
-  std::string error;       // set when !ok
+struct KeygenResponseFrame : ResponseHead<KeygenResponseFrame> {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kKeygenResponse;
+
   std::uint64_t key_id = 0;  // registered fingerprint, valid in sign/verify
   std::uint64_t degree = 0;
   std::vector<std::uint32_t> h;  // public key, coefficient domain [0, q)
@@ -155,8 +170,6 @@ struct KeygenResponseFrame {
                                      std::uint64_t key_id,
                                      const std::vector<std::uint32_t>& h,
                                      std::size_t degree);
-  static KeygenResponseFrame failure(std::uint64_t request_id,
-                                     std::string error);
 };
 
 /// Exposition format selector carried by the stats frames.
@@ -165,21 +178,21 @@ enum class StatsFormat : std::uint8_t { kPrometheus = 0, kJson = 1 };
 /// Ask the server for its metrics exposition — the wire face of
 /// obs::prometheus_text / obs::json_text over the server's registry.
 struct StatsRequestFrame {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kStatsRequest;
+  using Response = StatsResponseFrame;
+
   std::uint64_t request_id = 0;
   StatsFormat format = StatsFormat::kPrometheus;
 };
 
-struct StatsResponseFrame {
-  std::uint64_t request_id = 0;
-  bool ok = false;
-  std::string error;  // set when !ok
+struct StatsResponseFrame : ResponseHead<StatsResponseFrame> {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kStatsResponse;
+
   StatsFormat format = StatsFormat::kPrometheus;
-  std::string text;   // the exposition document
+  std::string text;  // the exposition document
 
   static StatsResponseFrame success(std::uint64_t request_id,
                                     StatsFormat format, std::string text);
-  static StatsResponseFrame failure(std::uint64_t request_id,
-                                    std::string error);
 };
 
 /// One subsystem's readiness as reported in a health response. `value`
@@ -197,49 +210,64 @@ struct HealthComponentFrame {
 /// router (never queued), so a saturated dispatcher still reports its
 /// saturation instead of timing out the probe.
 struct HealthRequestFrame {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kHealthRequest;
+  using Response = HealthResponseFrame;
+
   std::uint64_t request_id = 0;
 };
 
-struct HealthResponseFrame {
-  std::uint64_t request_id = 0;
-  bool ok = false;
-  std::string error;     // set when !ok
+struct HealthResponseFrame : ResponseHead<HealthResponseFrame> {
+  static constexpr serial::TypeTag kTag = serial::TypeTag::kHealthResponse;
+
   bool healthy = false;  // AND over every component's ok
   std::vector<HealthComponentFrame> components;
 
   static HealthResponseFrame success(
       std::uint64_t request_id, std::vector<HealthComponentFrame> components);
-  static HealthResponseFrame failure(std::uint64_t request_id,
-                                     std::string error);
 };
 
+/// Every wire frame type, in tag order. A type listed here gets the codec
+/// below, and `with_tag` finds it by its kTag, so the router's failure
+/// path and the fuzzer cover it with no further edit.
+template <typename... F>
+struct FrameList {
+  template <typename G>
+  static constexpr bool contains = (std::same_as<G, F> || ...);
+
+  /// Calls `fn(std::type_identity<G>{})` for the listed G whose kTag is
+  /// `tag`; false when no listed frame carries that tag.
+  template <typename Fn>
+  static bool with_tag(serial::TypeTag tag, Fn&& fn) {
+    return ((F::kTag == tag && (fn(std::type_identity<F>{}), true)) || ...);
+  }
+};
+using WireFrames =
+    FrameList<SignRequestFrame, SignResponseFrame, VerifyRequestFrame,
+              VerifyResponseFrame, KeygenRequestFrame, KeygenResponseFrame,
+              StatsRequestFrame, StatsResponseFrame, HealthRequestFrame,
+              HealthResponseFrame>;
+
+template <typename F>
+concept WireFrame = WireFrames::contains<F>;
+
 /// Encode as a length-prefixed serial frame ready to write to a stream.
-std::vector<std::uint8_t> encode(const SignRequestFrame& req);
-std::vector<std::uint8_t> encode(const SignResponseFrame& resp);
-std::vector<std::uint8_t> encode(const VerifyRequestFrame& req);
-std::vector<std::uint8_t> encode(const VerifyResponseFrame& resp);
-std::vector<std::uint8_t> encode(const KeygenRequestFrame& req);
-std::vector<std::uint8_t> encode(const KeygenResponseFrame& resp);
-std::vector<std::uint8_t> encode(const StatsRequestFrame& req);
-std::vector<std::uint8_t> encode(const StatsResponseFrame& resp);
-std::vector<std::uint8_t> encode(const HealthRequestFrame& req);
-std::vector<std::uint8_t> encode(const HealthResponseFrame& resp);
+template <WireFrame F>
+std::vector<std::uint8_t> encode(const F& frame);
 
 /// Decode the serial-frame part (no length prefix — the stream layer has
 /// already consumed it). Throws serial::SerialError on malformed input.
-SignRequestFrame decode_sign_request(std::span<const std::uint8_t> frame);
-SignResponseFrame decode_sign_response(std::span<const std::uint8_t> frame);
-VerifyRequestFrame decode_verify_request(std::span<const std::uint8_t> frame);
-VerifyResponseFrame decode_verify_response(
-    std::span<const std::uint8_t> frame);
-KeygenRequestFrame decode_keygen_request(std::span<const std::uint8_t> frame);
-KeygenResponseFrame decode_keygen_response(
-    std::span<const std::uint8_t> frame);
-StatsRequestFrame decode_stats_request(std::span<const std::uint8_t> frame);
-StatsResponseFrame decode_stats_response(std::span<const std::uint8_t> frame);
-HealthRequestFrame decode_health_request(std::span<const std::uint8_t> frame);
-HealthResponseFrame decode_health_response(
-    std::span<const std::uint8_t> frame);
+template <WireFrame F>
+F decode(std::span<const std::uint8_t> frame);
+
+/// The two response decoders servebench's client names.
+inline SignResponseFrame decode_sign_response(
+    std::span<const std::uint8_t> frame) {
+  return decode<SignResponseFrame>(frame);
+}
+inline VerifyResponseFrame decode_verify_response(
+    std::span<const std::uint8_t> frame) {
+  return decode<VerifyResponseFrame>(frame);
+}
 
 /// Blocking stream I/O over a file descriptor (socket or pipe) — thin
 /// aliases of net::write_frame / net::read_frame, kept so message-layer

@@ -842,9 +842,27 @@ TEST(RouterWire, UndecodableFrameStillNamesItsRequestId) {
   client.send(msg);
   const auto frame = client.read();
   ASSERT_TRUE(frame.has_value());
-  const serve::SignResponseFrame resp = serve::decode_sign_response(*frame);
+  const auto resp = serve::decode<serve::SignResponseFrame>(*frame);
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.request_id, 0x99u);  // recovered from the intact prefix
+}
+
+TEST(RouterWire, UndecodableStatsRequestAnswersStatsFailure) {
+  // Every request type answers a torn frame in its own response type: a
+  // scraper mid stats decode must get a StatsResponse it can parse.
+  RouterStack stack;
+  serve::StatsRequestFrame req;
+  req.request_id = 0x5747;
+  req.format = serve::StatsFormat::kJson;
+  auto msg = serve::encode(req);
+  msg.back() ^= 0xff;  // tear the payload tail: the hash check rejects it
+  Client client(stack.server.port());
+  client.send(msg);
+  const auto frame = client.read();
+  ASSERT_TRUE(frame.has_value());
+  const auto resp = serve::decode<serve::StatsResponseFrame>(*frame);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.request_id, 0x5747u);
 }
 
 TEST(ClientErrors, ReadDeadlineIsTypedTimeout) {

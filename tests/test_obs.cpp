@@ -664,7 +664,7 @@ TEST(StatsWire, RequestRoundTrip) {
   const std::span<const std::uint8_t> frame(encoded.data() + 4,
                                             encoded.size() - 4);
   EXPECT_EQ(serial::peek_tag(frame), serial::TypeTag::kStatsRequest);
-  const serve::StatsRequestFrame back = serve::decode_stats_request(frame);
+  const auto back = serve::decode<serve::StatsRequestFrame>(frame);
   EXPECT_EQ(back.request_id, 77u);
   EXPECT_EQ(back.format, serve::StatsFormat::kJson);
 }
@@ -673,7 +673,7 @@ TEST(StatsWire, ResponseRoundTripSuccessAndFailure) {
   const serve::StatsResponseFrame ok = serve::StatsResponseFrame::success(
       5, serve::StatsFormat::kPrometheus, "# TYPE x counter\nx 1\n");
   std::vector<std::uint8_t> encoded = serve::encode(ok);
-  serve::StatsResponseFrame back = serve::decode_stats_response(
+  serve::StatsResponseFrame back = serve::decode<serve::StatsResponseFrame>(
       std::span<const std::uint8_t>(encoded.data() + 4, encoded.size() - 4));
   EXPECT_TRUE(back.ok);
   EXPECT_EQ(back.request_id, 5u);
@@ -683,7 +683,7 @@ TEST(StatsWire, ResponseRoundTripSuccessAndFailure) {
   const serve::StatsResponseFrame bad =
       serve::StatsResponseFrame::failure(6, "no registry");
   encoded = serve::encode(bad);
-  back = serve::decode_stats_response(
+  back = serve::decode<serve::StatsResponseFrame>(
       std::span<const std::uint8_t>(encoded.data() + 4, encoded.size() - 4));
   EXPECT_FALSE(back.ok);
   EXPECT_EQ(back.request_id, 6u);
@@ -696,7 +696,7 @@ TEST(StatsWire, MalformedFormatByteThrows) {
   req.format = static_cast<serve::StatsFormat>(9);  // not a valid selector
   const std::vector<std::uint8_t> encoded = serve::encode(req);
   EXPECT_THROW(
-      serve::decode_stats_request(std::span<const std::uint8_t>(
+      serve::decode<serve::StatsRequestFrame>(std::span<const std::uint8_t>(
           encoded.data() + 4, encoded.size() - 4)),
       serial::SerialError);
 }

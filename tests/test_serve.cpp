@@ -889,7 +889,7 @@ TEST(Wire, SignRequestRoundTrip) {
                             (encoded[2] << 16) |
                             (std::uint32_t{encoded[3]} << 24);
   ASSERT_EQ(len, encoded.size() - 4);
-  const auto decoded = decode_sign_request(
+  const auto decoded = decode<SignRequestFrame>(
       std::span(encoded).subspan(4));
   EXPECT_EQ(decoded.request_id, req.request_id);
   EXPECT_EQ(decoded.key_id, req.key_id);
@@ -907,7 +907,7 @@ TEST(Wire, SignResponseRoundTripThroughSignature) {
 
   const auto resp = SignResponseFrame::success(42, sig);
   const auto encoded = encode(resp);
-  const auto decoded = decode_sign_response(std::span(encoded).subspan(4));
+  const auto decoded = decode<SignResponseFrame>(std::span(encoded).subspan(4));
   EXPECT_EQ(decoded.request_id, 42u);
   ASSERT_TRUE(decoded.ok);
   const falcon::Signature back = decoded.to_signature();
@@ -919,7 +919,7 @@ TEST(Wire, SignResponseRoundTripThroughSignature) {
   const auto err = SignResponseFrame::failure(43, "queue-full");
   const auto err_encoded = encode(err);
   const auto err_decoded =
-      decode_sign_response(std::span(err_encoded).subspan(4));
+      decode<SignResponseFrame>(std::span(err_encoded).subspan(4));
   EXPECT_EQ(err_decoded.request_id, 43u);
   EXPECT_FALSE(err_decoded.ok);
   EXPECT_EQ(err_decoded.error, "queue-full");
@@ -938,7 +938,8 @@ TEST(Wire, VerifyFramesRoundTrip) {
   const auto encoded = encode(req);
   EXPECT_EQ(serial::peek_tag(std::span(encoded).subspan(4)),
             serial::TypeTag::kVerifyRequest);
-  const auto decoded = decode_verify_request(std::span(encoded).subspan(4));
+  const auto decoded =
+      decode<VerifyRequestFrame>(std::span(encoded).subspan(4));
   EXPECT_EQ(decoded.request_id, 77u);
   EXPECT_EQ(decoded.key_id, id);
   EXPECT_EQ(decoded.message, "verify wire");
@@ -948,12 +949,12 @@ TEST(Wire, VerifyFramesRoundTrip) {
 
   for (const bool accepted : {true, false}) {
     const auto bytes = encode(VerifyResponseFrame::verdict(78, accepted));
-    const auto r = decode_verify_response(std::span(bytes).subspan(4));
+    const auto r = decode<VerifyResponseFrame>(std::span(bytes).subspan(4));
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.accepted, accepted);
   }
   const auto err_bytes = encode(VerifyResponseFrame::failure(79, "queue-full"));
-  const auto err = decode_verify_response(std::span(err_bytes).subspan(4));
+  const auto err = decode<VerifyResponseFrame>(std::span(err_bytes).subspan(4));
   EXPECT_FALSE(err.ok);
   EXPECT_EQ(err.error, "queue-full");
 }
@@ -966,21 +967,22 @@ TEST(Wire, KeygenFramesRoundTrip) {
   const auto encoded = encode(req);
   EXPECT_EQ(serial::peek_tag(std::span(encoded).subspan(4)),
             serial::TypeTag::kKeygenRequest);
-  const auto decoded = decode_keygen_request(std::span(encoded).subspan(4));
+  const auto decoded =
+      decode<KeygenRequestFrame>(std::span(encoded).subspan(4));
   EXPECT_EQ(decoded.request_id, 5u);
   EXPECT_EQ(decoded.degree, 128u);
   EXPECT_EQ(decoded.seed, 0xfeed5eedu);
 
   const auto ok_bytes = encode(
       KeygenResponseFrame::success(6, 0x1234, key_a().h, key_a().params.n));
-  const auto r = decode_keygen_response(std::span(ok_bytes).subspan(4));
+  const auto r = decode<KeygenResponseFrame>(std::span(ok_bytes).subspan(4));
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.key_id, 0x1234u);
   EXPECT_EQ(r.degree, key_a().params.n);
   EXPECT_EQ(r.h, key_a().h);  // u16 coding is lossless below q
 
   const auto err_bytes = encode(KeygenResponseFrame::failure(7, "solver died"));
-  const auto err = decode_keygen_response(std::span(err_bytes).subspan(4));
+  const auto err = decode<KeygenResponseFrame>(std::span(err_bytes).subspan(4));
   EXPECT_FALSE(err.ok);
   EXPECT_EQ(err.error, "solver died");
 }
@@ -999,7 +1001,7 @@ TEST(Wire, RequestContextVersionsRoundTripAndStayByteCompatible) {
   // v1 block: one u8 + one u64 beyond the bare frame.
   EXPECT_EQ(traced_bytes.size(), plain_bytes.size() + 9);
   const auto traced_back =
-      decode_sign_request(std::span(traced_bytes).subspan(4));
+      decode<SignRequestFrame>(std::span(traced_bytes).subspan(4));
   EXPECT_EQ(traced_back.trace_id, 0x7ace1dull);
   EXPECT_EQ(traced_back.deadline_us, 0u);
 
@@ -1008,7 +1010,7 @@ TEST(Wire, RequestContextVersionsRoundTripAndStayByteCompatible) {
   dl.deadline_us = 1500;
   const auto dl_bytes = encode(dl);
   EXPECT_EQ(dl_bytes.size(), plain_bytes.size() + 17);
-  const auto dl_back = decode_sign_request(std::span(dl_bytes).subspan(4));
+  const auto dl_back = decode<SignRequestFrame>(std::span(dl_bytes).subspan(4));
   EXPECT_EQ(dl_back.trace_id, 0u);
   EXPECT_EQ(dl_back.deadline_us, 1500u);
 
@@ -1022,7 +1024,7 @@ TEST(Wire, RequestContextVersionsRoundTripAndStayByteCompatible) {
   vreq.trace_id = 5;
   vreq.deadline_us = 77;
   const auto v_bytes = encode(vreq);
-  const auto v_back = decode_verify_request(std::span(v_bytes).subspan(4));
+  const auto v_back = decode<VerifyRequestFrame>(std::span(v_bytes).subspan(4));
   EXPECT_EQ(v_back.trace_id, 5u);
   EXPECT_EQ(v_back.deadline_us, 77u);
 
@@ -1032,7 +1034,7 @@ TEST(Wire, RequestContextVersionsRoundTripAndStayByteCompatible) {
   kreq.seed = 3;
   kreq.deadline_us = 250'000;
   const auto k_bytes = encode(kreq);
-  const auto k_back = decode_keygen_request(std::span(k_bytes).subspan(4));
+  const auto k_back = decode<KeygenRequestFrame>(std::span(k_bytes).subspan(4));
   EXPECT_EQ(k_back.deadline_us, 250'000u);
 
   // An unknown ctx version is a malformed frame, not a silent skip.
@@ -1042,7 +1044,7 @@ TEST(Wire, RequestContextVersionsRoundTripAndStayByteCompatible) {
   // checksum first, which is also a rejection — either way it throws.
   bad = traced_bytes;
   bad[bad.size() - 9] = 3;  // the ctx version byte of the v1 block
-  EXPECT_THROW((void)decode_sign_request(std::span(bad).subspan(4)),
+  EXPECT_THROW((void)decode<SignRequestFrame>(std::span(bad).subspan(4)),
                serial::SerialError);
 }
 
@@ -1054,11 +1056,11 @@ TEST(Wire, CorruptionAndForeignFramesAreRejected) {
   auto encoded = encode(req);
   // Flip one payload byte: the frame checksum must catch it.
   encoded.back() ^= 0x40;
-  EXPECT_THROW((void)decode_sign_request(std::span(encoded).subspan(4)),
+  EXPECT_THROW((void)decode<SignRequestFrame>(std::span(encoded).subspan(4)),
                serial::SerialError);
   // A request frame is not a response frame (tag mismatch).
   const auto intact = encode(req);
-  EXPECT_THROW((void)decode_sign_response(std::span(intact).subspan(4)),
+  EXPECT_THROW((void)decode<SignResponseFrame>(std::span(intact).subspan(4)),
                serial::SerialError);
 }
 
@@ -1077,10 +1079,10 @@ TEST(Wire, StreamMessagesOverAPipe) {
 
   auto m1 = read_message(fds[0]);
   ASSERT_TRUE(m1.has_value());
-  EXPECT_EQ(decode_sign_request(*m1).request_id, 1u);
+  EXPECT_EQ(decode<SignRequestFrame>(*m1).request_id, 1u);
   auto m2 = read_message(fds[0]);
   ASSERT_TRUE(m2.has_value());
-  EXPECT_EQ(decode_sign_request(*m2).message, "over the pipe");
+  EXPECT_EQ(decode<SignRequestFrame>(*m2).message, "over the pipe");
   EXPECT_FALSE(read_message(fds[0]).has_value());  // clean EOF
   ::close(fds[0]);
 

@@ -155,35 +155,23 @@ std::vector<Sample> make_samples(prng::SplitMix64Source& rng) {
 }
 
 // Decode the serial frame (no length prefix) with the decoder matching
-// `tag`; for successfully decoded signature-bearing frames also exercise
-// decompression.
+// `tag`: any frame wire.h lists in WireFrames, or the transport's shed.
+// Decoded signature-bearing frames also exercise decompression.
 void decode_as(serial::TypeTag tag, std::span<const std::uint8_t> frame) {
-  switch (tag) {
-    case serial::TypeTag::kSignRequest: decode_sign_request(frame); break;
-    case serial::TypeTag::kSignResponse: {
-      const SignResponseFrame resp = decode_sign_response(frame);
-      if (resp.ok) resp.to_signature();
-      break;
-    }
-    case serial::TypeTag::kVerifyRequest:
-      decode_verify_request(frame).to_signature();
-      break;
-    case serial::TypeTag::kVerifyResponse: decode_verify_response(frame); break;
-    case serial::TypeTag::kKeygenRequest: decode_keygen_request(frame); break;
-    case serial::TypeTag::kKeygenResponse: decode_keygen_response(frame); break;
-    case serial::TypeTag::kStatsRequest: decode_stats_request(frame); break;
-    case serial::TypeTag::kStatsResponse: decode_stats_response(frame); break;
-    case serial::TypeTag::kHealthRequest: decode_health_request(frame); break;
-    case serial::TypeTag::kHealthResponse:
-      decode_health_response(frame);
-      break;
-    case serial::TypeTag::kOverloaded: net::decode_overloaded(frame); break;
-    default:
-      // Cache-layer tags (netlist, sampler, ...) are valid serial frames
-      // but not wire messages; a mutation steering a frame there gets the
-      // same typed rejection a server's router would produce.
-      throw serial::SerialError("no wire decoder for this tag");
+  if (tag == serial::TypeTag::kOverloaded) {
+    net::decode_overloaded(frame);
+    return;
   }
+  const bool wire = WireFrames::with_tag(
+      tag, [frame]<typename F>(std::type_identity<F>) {
+        const F decoded = decode<F>(frame);
+        if constexpr (requires { decoded.to_signature(); })
+          if (decoded.degree != 0) decoded.to_signature();  // 0: an error
+      });
+  // Cache-layer tags (netlist, sampler, ...) are valid serial frames but
+  // not wire messages; a mutation steering a frame there gets the same
+  // typed rejection a server's router would produce.
+  if (!wire) throw serial::SerialError("no wire decoder for this tag");
 }
 
 // ------------------------------------------------------------ pinning ---
