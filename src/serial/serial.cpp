@@ -197,7 +197,8 @@ std::vector<std::uint8_t> wrap(TypeTag tag, std::vector<std::uint8_t> payload) {
 
 TypeTag peek_tag(std::span<const std::uint8_t> frame) {
   Reader r(frame);
-  if (r.remaining() < kFrameHeaderBytes) throw SerialError("serial: frame truncated (header)");
+  if (r.remaining() < kFrameHeaderBytes)
+    throw SerialError("serial: frame truncated (header)");
   if (r.u32() != kMagic) throw SerialError("serial: bad magic");
   if (r.u32() != kFormatVersion)
     throw SerialError("serial: format version mismatch");
@@ -214,7 +215,8 @@ TypeTag peek_tag(std::span<const std::uint8_t> frame) {
 std::span<const std::uint8_t> unwrap(std::span<const std::uint8_t> frame,
                                      TypeTag expected_tag) {
   Reader r(frame);
-  if (r.remaining() < kFrameHeaderBytes) throw SerialError("serial: frame truncated (header)");
+  if (r.remaining() < kFrameHeaderBytes)
+    throw SerialError("serial: frame truncated (header)");
   if (r.u32() != kMagic) throw SerialError("serial: bad magic");
   const std::uint32_t version = r.u32();
   if (version != kFormatVersion) {

@@ -226,9 +226,9 @@ struct HealthResponseFrame : ResponseHead<HealthResponseFrame> {
       std::uint64_t request_id, std::vector<HealthComponentFrame> components);
 };
 
-/// Every wire frame type, in tag order. A type listed here gets the codec
-/// below, and `with_tag` finds it by its kTag, so the router's failure
-/// path and the fuzzer cover it with no further edit.
+/// Every wire frame type, in tag order: the types `encode` and `decode`
+/// accept. `with_tag` finds one by its kTag, so the router's failure path
+/// and the fuzzer cover a listed frame with no edit of their own.
 template <typename... F>
 struct FrameList {
   template <typename G>
