@@ -71,11 +71,7 @@ std::string prometheus_text(const Registry& registry) {
       continue;
     }
     // Cumulative buckets; collapse trailing empties into the final +Inf
-    // line so an idle histogram is 3 lines, not 67. Labels (if any) ride
-    // in front of `le` on every series of the expansion.
-    const std::string lbl = s.labels.empty() ? "" : s.labels + ",";
-    const std::string suffix =
-        s.labels.empty() ? "" : "{" + s.labels + "}";
+    // line so an idle histogram is 3 lines, not 67.
     std::size_t last_nonzero = 0;
     for (std::size_t i = 0; i < s.buckets.size(); ++i)
       if (s.buckets[i] != 0) last_nonzero = i;
@@ -83,21 +79,19 @@ std::string prometheus_text(const Registry& registry) {
     for (std::size_t i = 0; i <= last_nonzero && i + 1 < s.buckets.size();
          ++i) {
       cumulative += s.buckets[i];
-      out += s.name + "_bucket{" + lbl + "le=\"" + bucket_le(i) + "\"} " +
+      out += s.name + "_bucket{le=\"" + bucket_le(i) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
-    out += s.name + "_bucket{" + lbl + "le=\"+Inf\"} " +
-           std::to_string(s.count) + "\n";
-    out += s.name + "_sum" + suffix + " " + std::to_string(s.sum_us) + "\n";
-    out += s.name + "_count" + suffix + " " + std::to_string(s.count) + "\n";
+    out += s.name + "_bucket{le=\"+Inf\"} " + std::to_string(s.count) + "\n";
+    out += s.name + "_sum " + std::to_string(s.sum_us) + "\n";
+    out += s.name + "_count " + std::to_string(s.count) + "\n";
     // Exemplars as comment lines (plain-Prometheus parsers skip unknown
     // comments; goldens are untouched because an exemplar-free histogram
     // emits none).
     for (std::size_t i = 0; i < s.exemplars.size(); ++i) {
       if (s.exemplars[i] == 0) continue;
-      out += "# exemplar " + s.name + "_bucket{" + lbl + "le=\"" +
-             bucket_le(i) + "\"} trace_id=\"" + hex_id(s.exemplars[i]) +
-             "\"\n";
+      out += "# exemplar " + s.name + "_bucket{le=\"" + bucket_le(i) +
+             "\"} trace_id=\"" + hex_id(s.exemplars[i]) + "\"\n";
     }
   }
   // Structured events: lifetime per-kind counters (the ring itself is

@@ -74,50 +74,54 @@ std::string tenant_label(std::uint64_t fingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// LabeledFamily
+// CounterFamily
 
-template <typename Cell>
-LabeledFamily<Cell>::LabeledFamily(std::string name,
-                                   typename Cell::Global& global,
-                                   FamilyOptions options)
-    : name_(std::move(name)), global_(global), options_(std::move(options)) {
+namespace {
+
+// Touches that promote a probation cell to the protected queue.
+constexpr std::uint64_t kPromoteTouches = 2;
+// Labels of the overflow cell evicted series fold into (canonical form).
+constexpr const char* kOverflowLabels = "tenant=\"other\"";
+
+}  // namespace
+
+CounterFamily::CounterFamily(std::string name, Counter& global,
+                             FamilyOptions options)
+    : name_(std::move(name)), global_(global), options_(options) {
   CGS_CHECK_MSG(options_.max_series > 0, "obs: family needs max_series >= 1");
 }
 
-template <typename Cell>
-void LabeledFamily<Cell>::observe(const std::string& key, std::uint64_t v) {
+void CounterFamily::add(const LabelSet& labels, std::uint64_t n) {
+  global_.add(n);
+  const std::string& key = labels.canonical();
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (auto it = cells_.find(key); it != cells_.end()) {
       it->second->touches.fetch_add(1, std::memory_order_relaxed);
-      it->second->cell.observe(v);
+      it->second->value.fetch_add(n, std::memory_order_relaxed);
       return;
     }
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   Node& node = cell_locked(key);
   node.touches.fetch_add(1, std::memory_order_relaxed);
-  node.cell.observe(v);
+  node.value.fetch_add(n, std::memory_order_relaxed);
 }
 
-template <typename Cell>
-typename LabeledFamily<Cell>::Node& LabeledFamily<Cell>::cell_locked(
-    const std::string& key) {
+CounterFamily::Node& CounterFamily::cell_locked(const std::string& key) {
   if (auto it = cells_.find(key); it != cells_.end()) return *it->second;
   if (cells_.size() >= options_.max_series) make_room_locked();
   probation_.push_back(key);
   return *cells_.emplace(key, std::make_unique<Node>()).first->second;
 }
 
-template <typename Cell>
-void LabeledFamily<Cell>::make_room_locked() {
+void CounterFamily::make_room_locked() {
   // Lazy promotion: probation cells that earned a second touch since the
   // last admission move to protected before a victim is chosen, so a hot
   // tenant is never folded just because promotions are deferred.
   for (auto it = probation_.begin(); it != probation_.end();) {
     Node& node = *cells_.find(*it)->second;
-    if (node.touches.load(std::memory_order_relaxed) >=
-        options_.promote_touches) {
+    if (node.touches.load(std::memory_order_relaxed) >= kPromoteTouches) {
       auto next = std::next(it);
       protected_.splice(protected_.end(), probation_, it);
       it = next;
@@ -130,9 +134,9 @@ void LabeledFamily<Cell>::make_room_locked() {
   auto it = cells_.find(victim);
   // Fold, never drop: the unique lock excludes adders, so this transfer
   // is exact and the sum-to-global invariant survives eviction.
-  const Cell& cell = it->second->cell;
-  const std::uint64_t folded = cell.observations();
-  cell.fold_into(other_);
+  const std::uint64_t folded =
+      it->second->value.load(std::memory_order_relaxed);
+  other_.fetch_add(folded, std::memory_order_relaxed);
   queue.pop_front();
   cells_.erase(it);
   folds_.fetch_add(1, std::memory_order_relaxed);
@@ -141,35 +145,29 @@ void LabeledFamily<Cell>::make_room_locked() {
                           name_);
 }
 
-template <typename Cell>
-std::vector<typename Cell::Labeled> LabeledFamily<Cell>::collect() const {
-  std::vector<typename Cell::Labeled> out;
+std::vector<CounterFamily::LabeledValue> CounterFamily::collect() const {
+  std::vector<LabeledValue> out;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     out.reserve(cells_.size() + 1);
     for (const auto& [labels, node] : cells_)
-      out.push_back(node->cell.read(labels));
+      out.push_back({labels, node->value.load(std::memory_order_relaxed)});
   }
-  if (other_.observations() != 0)
-    out.push_back(other_.read(options_.overflow.canonical()));
+  if (const std::uint64_t other = other_.load(std::memory_order_relaxed))
+    out.push_back({kOverflowLabels, other});
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.labels < b.labels;
   });
   return out;
 }
 
-template <typename Cell>
-std::size_t LabeledFamily<Cell>::series() const {
+std::size_t CounterFamily::series() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return cells_.size();
 }
 
-template <typename Cell>
-std::uint64_t LabeledFamily<Cell>::folds() const {
+std::uint64_t CounterFamily::folds() const {
   return folds_.load(std::memory_order_relaxed);
 }
-
-template class LabeledFamily<CounterCell>;
-template class LabeledFamily<HistogramCell>;
 
 }  // namespace cgs::obs

@@ -126,16 +126,6 @@ class alignas(64) Histogram {
       acc[i] += buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Fold a whole bucket array (plus its sum) into this histogram in one
-  /// pass — used when a labeled family evicts a per-tenant series into
-  /// its `other` overflow cell without losing a single observation.
-  void merge_from(const HistogramBuckets& buckets, std::uint64_t sum) {
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-      if (buckets[i] != 0)
-        buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
-    sum_.fetch_add(sum, std::memory_order_relaxed);
-  }
-
   /// Per-bucket latest exemplar ids (0 = none recorded). Same indexing as
   /// snapshot(); reuses HistogramBuckets as a plain u64 array.
   HistogramBuckets exemplar_snapshot() const {

@@ -79,22 +79,6 @@ CounterFamily& Registry::counter_family(const std::string& name,
   return *slot.counter_family;
 }
 
-HistogramFamily& Registry::histogram_family(const std::string& name,
-                                            FamilyOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = slot_for(name, Kind::kHistogram, /*callback=*/false);
-  if (!slot.histogram) slot.histogram = std::make_unique<Histogram>();
-  if (!slot.histogram_family) {
-    if (options.events == nullptr) {
-      if (!events_) events_ = std::make_unique<EventLog>();
-      options.events = events_.get();
-    }
-    slot.histogram_family = std::make_unique<HistogramFamily>(
-        name, *slot.histogram, std::move(options));
-  }
-  return *slot.histogram_family;
-}
-
 WindowedHistogram& Registry::windowed_histogram(const std::string& name,
                                                 WindowOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -175,19 +159,6 @@ std::vector<Sample> Registry::collect() const {
         c.labels = std::move(cell.labels);
         c.kind = Kind::kCounter;
         c.value = static_cast<double>(cell.value);
-        out.push_back(std::move(c));
-      }
-    }
-    if (slot.histogram_family) {
-      for (auto& cell : slot.histogram_family->collect()) {
-        Sample c;
-        c.name = name;
-        c.labels = std::move(cell.labels);
-        c.kind = Kind::kHistogram;
-        c.is_histogram = true;
-        c.buckets = cell.buckets;
-        c.count = cell.count;
-        c.sum_us = cell.sum_us;
         out.push_back(std::move(c));
       }
     }

@@ -75,8 +75,6 @@ class Registry {
   /// options.events is null the registry wires in its own event log.
   CounterFamily& counter_family(const std::string& name,
                                 FamilyOptions options = {});
-  HistogramFamily& histogram_family(const std::string& name,
-                                    FamilyOptions options = {});
 
   /// Create-or-get a sliding-window companion over `name` (same wrapping
   /// contract as families: one call feeds both the cumulative histogram
@@ -119,7 +117,6 @@ class Registry {
     std::function<double()> fn;  // callback instruments only
     // Optional companions wrapping the owned instrument above.
     std::unique_ptr<CounterFamily> counter_family;
-    std::unique_ptr<HistogramFamily> histogram_family;
     std::unique_ptr<WindowedHistogram> windowed_histogram;
   };
 

@@ -18,7 +18,7 @@
 // zero: they gain nothing from waiting for company.
 //
 // It drains a lane's QosQueue, so a batch is popped in the queue's
-// priority and fair-share order. An idle lane thread simply parks on the
+// fair-share order. An idle lane thread simply parks on the
 // queue: spare cores are the process-wide executor's to use.
 
 #include <chrono>

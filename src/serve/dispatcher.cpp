@@ -159,11 +159,10 @@ Submission<typename Req::Result> Dispatcher::submit_impl(
   job.trace.request_id = job.req.request_id;
   job.trace.tenant = tenant;
   job.trace.req_class = ClassTraits<Req>::kClass;
-  const Priority priority = job.req.priority;
   Submission<typename Req::Result> result;
   result.future = job.promise.get_future();
   job.trace.stamp(obs::Stage::kEnqueued);
-  result.status = lane.queue.try_push(std::move(job), priority, tenant);
+  result.status = lane.queue.try_push(std::move(job), tenant);
   if (result.status == SubmitStatus::kOk) {
     lane.counters.submitted.add(1);
   } else {
@@ -224,9 +223,6 @@ Dispatcher::Dispatcher(engine::SamplerRegistry& registry,
   QosQueueOptions qos;
   qos.capacity = options_.queue_capacity;
   qos.tenant_capacity = options_.tenant_capacity;
-  qos.max_tenants = options_.max_tenant_slots;
-  qos.age_promote_us = options_.age_promote_us;
-  qos.drr_quantum = options_.drr_quantum;
   for_each_class([&](auto& c) {
     using Req = typename std::decay_t<decltype(c)>::Request;
     using Traits = ClassTraits<Req>;
@@ -276,12 +272,6 @@ void Dispatcher::register_bridges() {
             [lane] { return static_cast<double>(lane->queue.size()); });
       // The QosQueue policy counters, scraped alongside the depth so an
       // operator sees WHY a lane sheds, not just that it is deep.
-      counter(prefix + "_aged_promotions_total", [lane] {
-        return static_cast<double>(lane->queue.stats().aged_promotions);
-      });
-      counter(prefix + "_priority_inversions_total", [lane] {
-        return static_cast<double>(lane->queue.stats().priority_inversions);
-      });
       counter(prefix + "_tenant_rejections_total", [lane] {
         return static_cast<double>(lane->queue.stats().tenant_rejections);
       });
@@ -578,8 +568,6 @@ MetricsSnapshot Dispatcher::metrics() const {
       ls.batched = lane->counters.batched.value();
       ls.queue_depth = lane->queue.size();
       const QosQueueStats qos = lane->queue.stats();
-      ls.aged_promotions = qos.aged_promotions;
-      ls.priority_inversions = qos.priority_inversions;
       ls.tenant_rejections = qos.tenant_rejections;
       ls.tenant_slots = qos.tenant_slots;
       (snap.*Traits::kSnapshot).push_back(ls);

@@ -40,11 +40,11 @@
 // batcher and its thread share nothing with the latency-sensitive lanes.
 //
 // Admission is policy, not just a depth check. Every lane queue is a
-// QosQueue: three strict-priority bands (interactive sign/verify, bulk
-// gauss, background keygen) with an aging valve so bulk/background can
-// never starve, and DRR fair-share across per-tenant sub-queues inside a
-// band — a storming tenant hits its own depth cap (kTenantFull, with a
-// retry-after hint) while every other tenant keeps admitting. Requests
+// QosQueue: DRR fair-share across per-tenant sub-queues — a storming
+// tenant hits its own depth cap (kTenantFull, with a retry-after hint)
+// while every other tenant keeps admitting. A lane serves one request
+// class, so its queue needs no priority order: signs are kept clear of
+// bulk gauss and keygen work by running on lanes of their own. Requests
 // may carry a relative deadline; work whose budget lapsed while queued is
 // dropped at batch close with a typed DeadlineExpired instead of running
 // late.
@@ -116,15 +116,6 @@ struct DispatcherOptions {
   /// hits kTenantFull while every other tenant still admits. 0 = no
   /// per-tenant cap beyond queue_capacity (the pre-QoS behavior).
   std::size_t tenant_capacity = 0;
-  /// Bounded tenant-slot table per lane (beyond it, rare tenants share a
-  /// FIFO overflow sub-queue instead of growing the table without bound).
-  std::size_t max_tenant_slots = 32;
-  /// Strict-priority aging valve: a lower-band request older than this
-  /// is served ahead of the higher bands (counts as aged, never as an
-  /// inversion). 0 = strict priority with no aging.
-  std::uint64_t age_promote_us = 10'000;
-  /// DRR quantum (requests) for the per-tenant round-robin within a band.
-  std::uint32_t drr_quantum = 4;
   /// No effect. Verify fan-out runs on the process-wide executor, sized
   /// by verification.num_threads. Kept only because servebench/ still
   /// assigns it; goes with the next change to the benchmark.
@@ -203,8 +194,6 @@ struct SignRequest {
   std::string message;
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
-  /// QoS class (see serve/queue.h). Signing answers a waiting caller.
-  Priority priority = Priority::kInteractive;
   /// Relative latency budget in microseconds from admission; 0 = none.
   /// Still queued when it lapses -> the future fails DeadlineExpired.
   std::uint64_t deadline_us = 0;
@@ -219,20 +208,17 @@ struct VerifyRequest {
   falcon::Signature sig;
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
-  Priority priority = Priority::kInteractive;
   std::uint64_t deadline_us = 0;  // relative budget; 0 = none
 };
 
 /// Generate a key at `params` from `seed` (deterministic per seed). Runs
-/// on the dedicated low-priority keygen lane.
+/// on the dedicated keygen lane, at nice 19.
 struct KeygenRequest {
   using Result = KeygenResult;
   falcon::FalconParams params;
   std::uint64_t seed = 0;
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
-  /// Tenant onboarding: nothing interactive ever waits on it.
-  Priority priority = Priority::kBackground;
   std::uint64_t deadline_us = 0;  // relative budget; 0 = none
 };
 
@@ -244,8 +230,6 @@ struct GaussRequest {
   std::size_t n = 0;
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;
-  /// Bulk sampling: throughput work, below interactive sign/verify.
-  Priority priority = Priority::kBulk;
   std::uint64_t deadline_us = 0;  // relative budget; 0 = none
 };
 

@@ -55,8 +55,6 @@ struct LaneSnapshot {
   std::uint64_t batched = 0;
   std::size_t queue_depth = 0;
   // The lane's QosQueue policy counters (see QosQueueStats).
-  std::uint64_t aged_promotions = 0;
-  std::uint64_t priority_inversions = 0;  // invariant: stays 0
   std::uint64_t tenant_rejections = 0;
   std::size_t tenant_slots = 0;
 
@@ -115,14 +113,6 @@ struct MetricsSnapshot {
   std::uint64_t sign_expired() const { return sum(sign_lanes, &LaneSnapshot::expired); }
   std::uint64_t verify_expired() const { return sum(verify_lanes, &LaneSnapshot::expired); }
 
-  /// Priority inversions across every lane of every class — the QoS
-  /// invariant the replay bench gates at exactly zero.
-  std::uint64_t priority_inversions() const {
-    return sum_all(&LaneSnapshot::priority_inversions);
-  }
-  std::uint64_t aged_promotions() const {
-    return sum_all(&LaneSnapshot::aged_promotions);
-  }
   std::uint64_t tenant_rejections() const {
     return sum_all(&LaneSnapshot::tenant_rejections);
   }

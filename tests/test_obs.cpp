@@ -441,22 +441,6 @@ TEST(Labels, FamilySumsToGlobalUnderChurnAndStaysBounded) {
   EXPECT_EQ(global, expected);
 }
 
-TEST(Labels, HistogramFamilyFoldsPreserveCounts) {
-  Registry reg;
-  FamilyOptions fo;
-  fo.max_series = 4;
-  HistogramFamily& fam = reg.histogram_family("cgs_tenant_lat_us", fo);
-  std::uint64_t expected = 0;
-  for (std::uint64_t t = 0; t < 32; ++t) {
-    fam.record(LabelSet{{"tenant", tenant_label(t)}}, 100 + t);
-    ++expected;
-  }
-  EXPECT_LE(fam.series(), fo.max_series);
-  std::uint64_t labeled_count = 0;
-  for (const auto& cell : fam.collect()) labeled_count += cell.count;
-  EXPECT_EQ(labeled_count, expected);
-}
-
 TEST(Labels, FoldsEmitSeriesFoldEvents) {
   Registry reg;
   CounterFamily& fam =

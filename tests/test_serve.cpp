@@ -1,5 +1,5 @@
-// The async serving layer: queue backpressure, QoS scheduling (priority
-// bands, aging, per-tenant fair-share, deadline admission), micro-batch
+// The async serving layer: queue backpressure, QoS scheduling
+// (per-tenant fair-share, deadline admission), lane isolation, micro-batch
 // close policy (full batch vs linger), dispatcher shutdown-drain
 // semantics, multi-key shard isolation, the dispatcher's thread count,
 // concurrent-batch overlap through the signing service, metrics
@@ -71,74 +71,24 @@ DispatcherOptions fast_options() {
 
 // --------------------------------------------------------- qos queue -----
 
-TEST(QosQueue, StrictPriorityOrderAcrossBands) {
-  QosQueue<int> q({.capacity = 16, .age_promote_us = 0});
-  // Interleaved arrival; band order, not arrival order, decides.
-  ASSERT_EQ(q.try_push(30, Priority::kBackground, 1), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(20, Priority::kBulk, 1), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(10, Priority::kInteractive, 1), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(11, Priority::kInteractive, 2), SubmitStatus::kOk);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.band_size(Priority::kInteractive), 2u);
-  EXPECT_EQ(q.band_size(Priority::kBulk), 1u);
-
-  int out = 0;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 10);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 11);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 20);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 30);
-  const QosQueueStats s = q.stats();
-  EXPECT_EQ(s.priority_inversions, 0u);
-  EXPECT_EQ(s.aged_promotions, 0u);
-
-  // Drained and still open: pop_until gives up at its deadline.
-  const auto t0 = Clock::now();
-  EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(30)));
-  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
-}
-
-TEST(QosQueue, AgingValvePromotesStarvedLowerBand) {
-  QosQueue<int> q({.capacity = 16, .age_promote_us = 2000});
-  ASSERT_EQ(q.try_push(99, Priority::kBackground, 7), SubmitStatus::kOk);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 8), SubmitStatus::kOk);
-
-  int out = 0;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 99);  // waited past the valve: served ahead of interactive
-  QosQueueStats s = q.stats();
-  EXPECT_EQ(s.aged_promotions, 1u);
-  EXPECT_EQ(s.priority_inversions, 0u);  // the valve is not an inversion
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
-}
-
 TEST(QosQueue, DrrInterleavesTenantsWithinABand) {
-  QosQueueOptions opts;
-  opts.capacity = 32;
-  opts.age_promote_us = 0;
-  opts.drr_quantum = 1;
-  QosQueue<int> q(opts);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(q.try_push(100 + i, Priority::kInteractive, 1),
-              SubmitStatus::kOk);
-    ASSERT_EQ(q.try_push(200 + i, Priority::kInteractive, 2),
-              SubmitStatus::kOk);
+  QosQueue<int> q({.capacity = 32});
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(q.try_push(100 + i, 1), SubmitStatus::kOk);
+    ASSERT_EQ(q.try_push(200 + i, 2), SubmitStatus::kOk);
   }
-  // Quantum 1: strict alternation — neither tenant's burst monopolizes
-  // the band, each keeps FIFO order within itself.
+  // Runs of kDrrQuantum (4) per tenant: neither tenant's burst
+  // monopolizes the queue, each keeps FIFO order within itself.
+  static_assert(kDrrQuantum == 4);
   std::vector<int> order;
   int out = 0;
   while (q.size() != 0) {
     ASSERT_TRUE(q.pop(out));
     order.push_back(out);
   }
-  EXPECT_EQ(order,
-            (std::vector<int>{100, 200, 101, 201, 102, 202, 103, 203}));
+  EXPECT_EQ(order, (std::vector<int>{100, 101, 102, 103, 200, 201, 202, 203,
+                                     104, 105, 106, 107, 204, 205, 206,
+                                     207}));
 }
 
 TEST(QosQueue, TenantCapShedsOnlyTheStormingTenant) {
@@ -146,33 +96,29 @@ TEST(QosQueue, TenantCapShedsOnlyTheStormingTenant) {
   opts.capacity = 16;
   opts.tenant_capacity = 2;
   QosQueue<int> q(opts);
-  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 0xA), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(2, Priority::kInteractive, 0xA), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(1, 0xA), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(2, 0xA), SubmitStatus::kOk);
   // Tenant A is at its cap; tenant B admits at the same instant.
-  EXPECT_EQ(q.try_push(3, Priority::kInteractive, 0xA),
-            SubmitStatus::kTenantFull);
-  EXPECT_EQ(q.try_push(4, Priority::kInteractive, 0xB), SubmitStatus::kOk);
-  // The cap is per (band, tenant) depth, not a lifetime quota: draining
-  // one of A's items readmits A.
+  EXPECT_EQ(q.try_push(3, 0xA), SubmitStatus::kTenantFull);
+  EXPECT_EQ(q.try_push(4, 0xB), SubmitStatus::kOk);
+  // The cap is per-tenant depth, not a lifetime quota: draining one of
+  // A's items readmits A.
   int out = 0;
   ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(q.try_push(5, Priority::kInteractive, 0xA), SubmitStatus::kOk);
+  EXPECT_EQ(q.try_push(5, 0xA), SubmitStatus::kOk);
   EXPECT_EQ(q.stats().tenant_rejections, 1u);
 }
 
 TEST(QosQueue, TenantSlotTableIsBoundedWithOverflow) {
-  QosQueueOptions opts;
-  opts.capacity = 16;
-  opts.max_tenants = 2;
-  QosQueue<int> q(opts);
-  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 101), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(2, Priority::kInteractive, 102), SubmitStatus::kOk);
-  // A third tenant still admits — into the band's shared overflow
-  // sub-queue — without growing the slot table.
-  ASSERT_EQ(q.try_push(3, Priority::kInteractive, 103), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(4, Priority::kInteractive, 104), SubmitStatus::kOk);
-  EXPECT_EQ(q.stats().tenant_slots, 2u);
-  EXPECT_EQ(q.size(), 4u);
+  QosQueue<int> q({.capacity = 64});
+  constexpr int kTenants = static_cast<int>(kMaxTenants) + 2;
+  for (int t = 0; t < kTenants; ++t)
+    ASSERT_EQ(q.try_push(int(t), 100 + static_cast<std::uint64_t>(t)),
+              SubmitStatus::kOk);
+  // The two tenants past the table still admit — into the shared
+  // overflow sub-queue — without growing the slot table.
+  EXPECT_EQ(q.stats().tenant_slots, kMaxTenants);
+  EXPECT_EQ(q.size(), std::size_t{kTenants});
   // Everything drains; slots are reclaimed as sub-queues empty.
   int out = 0;
   std::vector<int> drained;
@@ -180,7 +126,7 @@ TEST(QosQueue, TenantSlotTableIsBoundedWithOverflow) {
     ASSERT_TRUE(q.pop(out));
     drained.push_back(out);
   }
-  EXPECT_EQ(drained.size(), 4u);
+  EXPECT_EQ(drained.size(), std::size_t{kTenants});
   EXPECT_EQ(q.stats().tenant_slots, 0u);
 }
 
@@ -188,25 +134,34 @@ TEST(QosQueue, GlobalCapacityAndCloseKeepRequestQueueContract) {
   QosQueueOptions opts;
   opts.capacity = 2;
   QosQueue<int> q(opts);
-  ASSERT_EQ(q.try_push(1, Priority::kBulk, 1), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(2, Priority::kInteractive, 2), SubmitStatus::kOk);
-  EXPECT_EQ(q.try_push(3, Priority::kInteractive, 3),
-            SubmitStatus::kQueueFull);
+  ASSERT_EQ(q.try_push(1, 1), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(2, 2), SubmitStatus::kOk);
+  EXPECT_EQ(q.try_push(3, 3), SubmitStatus::kQueueFull);
   EXPECT_EQ(q.size(), 2u);
   int out = 0;
   ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_EQ(q.try_push(3, 3), SubmitStatus::kOk);  // capacity freed
+  ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out, 2);
-  EXPECT_EQ(q.try_push(3, Priority::kInteractive, 3),
-            SubmitStatus::kOk);  // capacity freed
-  q.close();
-  EXPECT_EQ(q.try_push(4, Priority::kInteractive, 1),
-            SubmitStatus::kShutdown);
-  // Items accepted before close still drain (priority order), then the
-  // consumer loop ends.
   ASSERT_TRUE(q.pop(out));
   EXPECT_EQ(out, 3);
+
+  // Drained and still open: pop_until gives up at its deadline.
+  const auto t0 = Clock::now();
+  EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(30)));
+  EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(25));
+
+  ASSERT_EQ(q.try_push(4, 2), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(5, 1), SubmitStatus::kOk);
+  q.close();
+  EXPECT_EQ(q.try_push(6, 1), SubmitStatus::kShutdown);
+  // Items accepted before close still drain (arrival order), then the
+  // consumer loop ends.
   ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
+  EXPECT_EQ(out, 4);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 5);
   EXPECT_FALSE(q.pop(out));
 }
 
@@ -218,7 +173,7 @@ TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
   // on a full batch, this test would time out rather than pass slowly.
   MicroBatcher<int> batcher(q, 4, std::chrono::seconds(600));
   for (int i = 0; i < 7; ++i)
-    ASSERT_EQ(q.try_push(int(i), Priority::kInteractive, 0), SubmitStatus::kOk);
+    ASSERT_EQ(q.try_push(int(i), 0), SubmitStatus::kOk);
 
   std::vector<int> batch;
   const auto t0 = Clock::now();
@@ -234,7 +189,7 @@ TEST(MicroBatcher, FullBatchClosesWithoutWaitingForLinger) {
 TEST(MicroBatcher, LingerClosesPartialBatch) {
   QosQueue<int> q({.capacity = 16});
   MicroBatcher<int> batcher(q, 64, std::chrono::milliseconds(40));
-  ASSERT_EQ(q.try_push(11, Priority::kInteractive, 0), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(11, 0), SubmitStatus::kOk);
   std::vector<int> batch;
   const auto t0 = Clock::now();
   ASSERT_TRUE(batcher.next_batch(batch));
@@ -251,7 +206,7 @@ TEST(MicroBatcher, LingerClosesPartialBatch) {
 TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
   QosQueue<int> q({.capacity = 4});
   MicroBatcher<int> batcher(q, 2, std::chrono::milliseconds(5));
-  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 0), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(1, 0), SubmitStatus::kOk);
   q.close();
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));  // drains the accepted item
@@ -261,16 +216,13 @@ TEST(MicroBatcher, ClosedAndDrainedEndsTheLoop) {
 }
 
 TEST(MicroBatcher, DrivesQosQueueAndClosedLoopEnds) {
-  QosQueueOptions opts;
-  opts.capacity = 8;
-  opts.age_promote_us = 0;
-  QosQueue<int> q(opts);
+  QosQueue<int> q({.capacity = 8});
   MicroBatcher<int> batcher(q, 4, std::chrono::milliseconds(5));
-  ASSERT_EQ(q.try_push(2, Priority::kBulk, 1), SubmitStatus::kOk);
-  ASSERT_EQ(q.try_push(1, Priority::kInteractive, 1), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(2, 1), SubmitStatus::kOk);
+  ASSERT_EQ(q.try_push(1, 1), SubmitStatus::kOk);
   std::vector<int> batch;
   ASSERT_TRUE(batcher.next_batch(batch));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));  // popped in band order
+  EXPECT_EQ(batch, (std::vector<int>{2, 1}));  // popped in arrival order
   q.close();
   EXPECT_FALSE(batcher.next_batch(batch));
 }
@@ -661,7 +613,6 @@ TEST(Dispatcher, ExpiredDeadlineDropsTypedAtBatchClose) {
   const MetricsSnapshot m = d.metrics();
   EXPECT_EQ(m.sign_expired(), 1u);
   EXPECT_EQ(m.sign_completed(), 1u);
-  EXPECT_EQ(m.priority_inversions(), 0u);
   // The expired request is an SLO miss; the fulfilled one is on time.
   EXPECT_EQ(d.obs_registry().counter("cgs_slo_sign_bad_total").value(), 1u);
   EXPECT_EQ(d.obs_registry().counter("cgs_slo_sign_good_total").value(), 1u);
@@ -713,7 +664,61 @@ TEST(Dispatcher, TenantCapShedsStormerWhileVictimAdmits) {
   EXPECT_EQ(m.tenant_rejections(), sheds);
   EXPECT_EQ(m.sign_submitted(), accepted.size() + 1);
   EXPECT_EQ(m.sign_completed(), accepted.size() + 1);
-  EXPECT_EQ(m.priority_inversions(), 0u);
+}
+
+// Keygen and bulk gauss work never holds up a sign: each class runs on a
+// lane of its own (the keygen lane at nice 19), so a sign submitted behind
+// a deep gauss backlog and a row of N = 512 keygens is answered while both
+// backlogs are still being worked off. The test asserts that order, not a
+// wall time, so it holds under the sanitizers too.
+TEST(Dispatcher, SignAnswersWhileGaussAndKeygenLanesAreBacklogged) {
+  DispatcherOptions opts = fast_options();
+  opts.sign_lanes = opts.verify_lanes = opts.gauss_lanes = 1;
+  Dispatcher d(registry(), opts);
+  const std::uint64_t id = d.add_key(key_a());
+  const auto params512 = falcon::FalconParams::for_degree(512);
+  // Warm every target, so the backlog below is pure compute.
+  ASSERT_TRUE(d.submit(SignRequest{.key_id = id, .message = "warm"})
+                  .future.get()
+                  .s1.size() == 64u);
+  EXPECT_EQ(d.submit(GaussRequest{.sigma = 30.0, .n = 4096}).future.get().size(),
+            4096u);
+  EXPECT_EQ(d.submit(KeygenRequest{.params = params512, .seed = 1})
+                .future.get()
+                .public_h.size(),
+            512u);
+
+  // About 0.3 s of gauss work on the wide backend (Release build) and
+  // several keygens queued.
+  constexpr std::size_t kSamples = std::size_t{1} << 15;
+  std::vector<std::future<std::vector<std::int32_t>>> gauss;
+  for (int i = 0; i < 32; ++i) {
+    auto sub = d.submit(GaussRequest{.sigma = 30.0, .n = kSamples});
+    ASSERT_TRUE(sub.ok());
+    gauss.push_back(std::move(sub.future));
+  }
+  std::vector<std::future<KeygenResult>> keygens;
+  for (std::uint64_t seed = 2; seed < 8; ++seed) {
+    auto sub = d.submit(KeygenRequest{.params = params512, .seed = seed});
+    ASSERT_TRUE(sub.ok());
+    keygens.push_back(std::move(sub.future));
+  }
+
+  auto sign = d.submit(SignRequest{.key_id = id, .message = "not behind"});
+  ASSERT_TRUE(sign.ok());
+  const falcon::Signature sig = sign.future.get();
+  const bool gauss_pending = gauss.back().wait_for(std::chrono::seconds(0)) ==
+                             std::future_status::timeout;
+  const bool keygen_pending =
+      keygens.back().wait_for(std::chrono::seconds(0)) ==
+      std::future_status::timeout;
+  EXPECT_TRUE(gauss_pending) << "the sign waited out the gauss backlog";
+  EXPECT_TRUE(keygen_pending) << "the sign waited out the keygen backlog";
+  const falcon::Verifier verifier(key_a().h, key_a().params);
+  EXPECT_TRUE(verifier.verify("not behind", sig));
+
+  for (auto& f : gauss) EXPECT_EQ(f.get().size(), kSamples);
+  for (auto& f : keygens) EXPECT_EQ(f.get().public_h.size(), 512u);
 }
 
 TEST(Dispatcher, VerifySlicesOnCrewKeepVerdictOrder) {
